@@ -4,9 +4,9 @@ The final stage of every star-join plan in the paper: joined tuples are
 hashed on the target group-by attributes and the measure is folded into the
 group's accumulator.  The implementation packs the per-dimension target
 member ids into a single integer group code (mixed-radix over the target
-level cardinalities) and folds page-sized batches with numpy, which is both
-fast and matches the per-tuple cost the clock charges
-(:meth:`~repro.storage.iostats.IOStats.charge_agg_update`).
+level cardinalities) and folds each batch (a scan segment, a probe set)
+with numpy, which is both fast and matches the per-tuple cost the clock
+charges (:meth:`~repro.storage.iostats.IOStats.charge_agg_update`).
 """
 
 from __future__ import annotations
@@ -108,11 +108,15 @@ class HashAggregator:
         else:  # pragma: no cover - Aggregate is a closed enum
             raise NotImplementedError(self.aggregate)
 
-    def _decode(self, code: int) -> GroupKey:
-        key: List[int] = []
-        for size, stride in zip(self._sizes, self._strides.tolist()):
-            key.append((code // stride) % size if size > 1 else 0)
-        return tuple(key)
+    def _decode_all(self) -> List[GroupKey]:
+        """Every accumulated group code decoded to its member-id tuple, in
+        accumulation order — one vectorized pass per dimension."""
+        codes = np.fromiter(self._acc, dtype=np.int64, count=len(self._acc))
+        columns = [
+            ((codes // stride) % size).tolist()
+            for size, stride in zip(self._sizes, self._strides.tolist())
+        ]
+        return list(zip(*columns))
 
     def result(self) -> QueryResult:
         """Finalize and return the accumulated QueryResult.
@@ -121,18 +125,17 @@ class HashAggregator:
         ``avg_state`` so partial results from row-disjoint data shards can
         be merged exactly (sum the sums, sum the counts, divide once).
         """
+        keys = self._decode_all()
         if self.aggregate is Aggregate.AVG:
             groups = {}
             avg_state = {}
-            for code, value in self._acc.items():
-                key = self._decode(code)
+            for key, (code, value) in zip(keys, self._acc.items()):
                 count = self._counts[code]
                 groups[key] = value / count
                 avg_state[key] = (value, count)
             return QueryResult(
                 query=self.query, groups=groups, avg_state=avg_state
             )
-        groups = {
-            self._decode(code): value for code, value in self._acc.items()
-        }
-        return QueryResult(query=self.query, groups=groups)
+        return QueryResult(
+            query=self.query, groups=dict(zip(keys, self._acc.values()))
+        )

@@ -7,7 +7,8 @@ of their required levels, computed once from the very same scan.  This
 operator extends :class:`SharedHybridStarJoin` with that derive phase:
 
 * phase 1 (unchanged): each index member builds its result bitmap;
-* phase 2 (unchanged, plus intermediates): one sequential scan feeds the
+* phase 2 (unchanged, plus intermediates): one sequential scan, fed in
+  segment-sized batches (:func:`~.pipeline.run_shared_scan`), reaches the
   hash members, the bitmap-filtered index members, *and* one extra pipeline
   per derive step that accumulates the intermediate aggregate;
 * phase 3 (new): each finished intermediate is decoded back into columnar
@@ -31,8 +32,8 @@ from ...obs.analyze import OperatorActuals
 from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
-from .index_join import query_result_bitmap
-from .pipeline import ExecContext, QueryPipeline, RollupCache, scan_columns
+from .hybrid_join import index_member_filters
+from .pipeline import ExecContext, QueryPipeline, RollupCache, run_shared_scan
 from .results import QueryResult
 
 #: A derive step in operator form: the intermediate aggregate to accumulate
@@ -120,18 +121,9 @@ class SharedDagStarJoin:
         intermediate's result included under its synthetic qid."""
         ctx = self.ctx
         actuals = self.actuals
-        index_bitmaps = [
-            query_result_bitmap(ctx, self.source, q)
-            for q in self.index_queries
-        ]
-        for query, bitmap in zip(self.index_queries, index_bitmaps):
-            actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
-            actuals.tuples_tested[query.qid] = 0
-            actuals.tuples_routed[query.qid] = 0
-        if ctx.kernels:
-            index_filters: List[object] = index_bitmaps
-        else:
-            index_filters = [bm.to_bool_array() for bm in index_bitmaps]
+        filters = index_member_filters(
+            ctx, self.source, self.index_queries, actuals
+        )
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
@@ -157,54 +149,27 @@ class SharedDagStarJoin:
             )
             for intermediate, _members in self.derives
         ]
-        capacity = self.source.table.capacity
-        kernels = ctx.kernels
-        routed = default_registry().counter(
-            "executor.tuples_routed",
-            "retrieved tuples tested against a query's result bitmap",
-        )
         derived_rows = default_registry().counter(
             "executor.derive_rows",
             "intermediate group rows fed to derived-query pipelines",
         )
         # Phase 2: one shared sequential scan feeds hash members, filtered
         # index members, and every derive step's intermediate aggregate.
-        for page, keys, measures in scan_columns(
-            ctx, self.source, type(self).__name__
-        ):
-            actuals.pages_scanned += 1
-            actuals.rows_scanned += len(page.rows)
-            for pipe in hash_pipes:
-                pipe.process_batch(keys, measures, ctx.stats)
-            for pipe in inter_pipes:
-                pipe.process_batch(keys, measures, ctx.stats)
-            if not index_pipes:
-                continue
-            start = page.page_no * capacity
-            stop = start + len(page.rows)
-            for query, pipe, bits in zip(
-                self.index_queries, index_pipes, index_filters
-            ):
-                ctx.stats.charge_bitmap_test(len(page.rows))
-                routed.inc(len(page.rows))
-                actuals.tuples_tested[query.qid] += len(page.rows)
-                if kernels:
-                    mine = bits.slice_bool(start, stop)
-                else:
-                    mine = bits[start:stop]
-                if not mine.any():
-                    continue
-                actuals.tuples_routed[query.qid] += int(mine.sum())
-                pipe.process_batch(
-                    [col[mine] for col in keys], measures[mine], ctx.stats
-                )
+        run_shared_scan(
+            ctx,
+            self.source,
+            type(self).__name__,
+            actuals,
+            hash_pipes + inter_pipes,
+            [
+                (q.qid, pipe, bits)
+                for q, pipe, bits in zip(self.index_queries, index_pipes, filters)
+            ],
+        )
         out: Dict[int, QueryResult] = {}
-        for query, pipe in zip(self.hash_queries, hash_pipes):
-            out[query.qid] = pipe.result()
-            actuals.record_pipeline(
-                query.qid, pipe, out[query.qid], ctx.stats.rates
-            )
-        for query, pipe in zip(self.index_queries, index_pipes):
+        for query, pipe in zip(
+            self.hash_queries + self.index_queries, hash_pipes + index_pipes
+        ):
             out[query.qid] = pipe.result()
             actuals.record_pipeline(
                 query.qid, pipe, out[query.qid], ctx.stats.rates

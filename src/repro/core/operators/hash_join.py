@@ -7,10 +7,12 @@ distinct structure (via the shared :class:`~.pipeline.RollupCache`), and only
 the per-query probe/filter/aggregate CPU grows with the number of queries —
 exactly the trade-off the paper measures in Test 1 / Figure 10.
 
-Both operators consume the scan as columnar page batches
-(:func:`~.pipeline.scan_columns`): on the default kernel path the batches
-come from the page's cached column arrays, on the tuple fallback they are
-re-decoded per run — identical values, identical accounting.
+Both operators consume the scan as segment-sized columnar batches
+(:func:`~.pipeline.run_shared_scan`): pages are read and charged one at a
+time, and each segment of consecutive pages feeds every pipeline in one
+call.  On the default kernel path the columns come from the pages' cached
+arrays, on the tuple fallback they are re-decoded per run — identical
+values, identical accounting.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Sequence
 from ...obs.analyze import OperatorActuals
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
-from .pipeline import ExecContext, QueryPipeline, RollupCache, scan_columns
+from .pipeline import ExecContext, QueryPipeline, RollupCache, run_shared_scan
 from .results import QueryResult
 
 
@@ -69,13 +71,9 @@ class SharedScanHashStarJoin:
             for q in self.queries
         ]
         actuals = self.actuals
-        for page, keys, measures in scan_columns(
-            ctx, self.source, type(self).__name__
-        ):
-            actuals.pages_scanned += 1
-            actuals.rows_scanned += len(page.rows)
-            for pipeline in pipelines:
-                pipeline.process_batch(keys, measures, ctx.stats)
+        run_shared_scan(
+            ctx, self.source, type(self).__name__, actuals, pipelines
+        )
         results = [p.result() for p in pipelines]
         for query, pipeline, result in zip(self.queries, pipelines, results):
             actuals.record_pipeline(

@@ -9,12 +9,12 @@ streaming past.  The random-probe I/O disappears entirely; only a small
 bitmap-test CPU cost per index query remains — the behaviour measured in
 Test 3 / Figure 12.
 
-On the default kernel path the scan arrives as cached columnar page
-batches and each index query's filter stays a packed
-:class:`~repro.index.bitmap.Bitmap`, sliced per page with
-:meth:`~repro.index.bitmap.Bitmap.slice_bool`; the tuple fallback decodes
-pages per run and unpacks each filter to a full boolean array.  Both paths
-charge and answer identically.
+The scan arrives as segment-sized columnar batches
+(:func:`~.pipeline.run_shared_scan`).  On the default kernel path each
+index query's filter stays a packed :class:`~repro.index.bitmap.Bitmap`,
+sliced per segment with :meth:`~repro.index.bitmap.Bitmap.slice_bool`; the
+tuple fallback decodes pages per run and unpacks each filter to a full
+boolean array.  Both paths charge and answer identically.
 """
 
 from __future__ import annotations
@@ -22,12 +22,35 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ...obs.analyze import OperatorActuals
-from ...obs.metrics import default_registry
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
+from ...storage.catalog import TableEntry
 from .index_join import query_result_bitmap
-from .pipeline import ExecContext, QueryPipeline, RollupCache, scan_columns
+from .pipeline import ExecContext, QueryPipeline, RollupCache, run_shared_scan
 from .results import QueryResult
+
+
+def index_member_filters(
+    ctx: ExecContext,
+    source: TableEntry,
+    index_queries: Sequence[GroupByQuery],
+    actuals: OperatorActuals,
+) -> List[object]:
+    """Phase 1 of each index plan: build its result bitmap.
+
+    Returns one scan filter per query, for :func:`run_shared_scan`'s
+    routing: the packed bitmap itself on the kernel path (each segment
+    unpacks only its window of words), a full boolean array on the tuple
+    path.  Records each bitmap's popcount and zeroes the routing counters.
+    """
+    bitmaps = [query_result_bitmap(ctx, source, q) for q in index_queries]
+    for query, bitmap in zip(index_queries, bitmaps):
+        actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
+        actuals.tuples_tested[query.qid] = 0
+        actuals.tuples_routed[query.qid] = 0
+    if ctx.kernels:
+        return bitmaps
+    return [bm.to_bool_array() for bm in bitmaps]
 
 
 class SharedHybridStarJoin:
@@ -64,22 +87,9 @@ class SharedHybridStarJoin:
         """Run all queries; returns ``{query.qid: result}``."""
         ctx = self.ctx
         actuals = self.actuals
-        # Phase 1 of each index plan is unchanged: build the result bitmap.
-        # The kernel path keeps the bitmaps packed and slices out each
-        # page's window of words during the scan; the tuple path unpacks
-        # each bitmap to a full boolean array up front.
-        index_bitmaps = [
-            query_result_bitmap(ctx, self.source, q)
-            for q in self.index_queries
-        ]
-        for query, bitmap in zip(self.index_queries, index_bitmaps):
-            actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
-            actuals.tuples_tested[query.qid] = 0
-            actuals.tuples_routed[query.qid] = 0
-        if ctx.kernels:
-            index_filters: List[object] = index_bitmaps
-        else:
-            index_filters = [bm.to_bool_array() for bm in index_bitmaps]
+        filters = index_member_filters(
+            ctx, self.source, self.index_queries, actuals
+        )
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
@@ -103,48 +113,22 @@ class SharedHybridStarJoin:
             )
             for q in self.index_queries
         ]
-        capacity = self.source.table.capacity
-        kernels = ctx.kernels
-        routed = default_registry().counter(
-            "executor.tuples_routed",
-            "retrieved tuples tested against a query's result bitmap",
-        )
         # Phase 2: one shared sequential scan feeds everybody.
-        for page, keys, measures in scan_columns(
-            ctx, self.source, type(self).__name__
-        ):
-            actuals.pages_scanned += 1
-            actuals.rows_scanned += len(page.rows)
-            for pipe in hash_pipes:
-                pipe.process_batch(keys, measures, ctx.stats)
-            if not index_pipes:
-                continue
-            start = page.page_no * capacity
-            stop = start + len(page.rows)
-            for query, pipe, bits in zip(
-                self.index_queries, index_pipes, index_filters
-            ):
-                ctx.stats.charge_bitmap_test(len(page.rows))
-                routed.inc(len(page.rows))
-                actuals.tuples_tested[query.qid] += len(page.rows)
-                if kernels:
-                    # Unpack only this page's window of packed words.
-                    mine = bits.slice_bool(start, stop)
-                else:
-                    mine = bits[start:stop]
-                if not mine.any():
-                    continue
-                actuals.tuples_routed[query.qid] += int(mine.sum())
-                pipe.process_batch(
-                    [col[mine] for col in keys], measures[mine], ctx.stats
-                )
+        run_shared_scan(
+            ctx,
+            self.source,
+            type(self).__name__,
+            actuals,
+            hash_pipes,
+            [
+                (q.qid, pipe, bits)
+                for q, pipe, bits in zip(self.index_queries, index_pipes, filters)
+            ],
+        )
         out: Dict[int, QueryResult] = {}
-        for query, pipe in zip(self.hash_queries, hash_pipes):
-            out[query.qid] = pipe.result()
-            actuals.record_pipeline(
-                query.qid, pipe, out[query.qid], ctx.stats.rates
-            )
-        for query, pipe in zip(self.index_queries, index_pipes):
+        for query, pipe in zip(
+            self.hash_queries + self.index_queries, hash_pipes + index_pipes
+        ):
             out[query.qid] = pipe.result()
             actuals.record_pipeline(
                 query.qid, pipe, out[query.qid], ctx.stats.rates

@@ -15,10 +15,12 @@ several hash tables on the same dimension tables").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...obs.analyze import OperatorActuals
+from ...obs.metrics import default_registry
 from ...obs.trace import NULL_TRACER
 from ...schema.lattice import aggregate_compatible, effective_aggregate
 from ...schema.query import DimPredicate, GroupByQuery
@@ -44,13 +46,14 @@ class ExecContext:
 
     ``faults`` carries an armed :class:`repro.faults.FaultPlan` (or None);
     operators pass it to index lookups and check the ``operator.pipeline``
-    site per page batch.
+    site once per scanned page (see :func:`scan_columns`).
 
     ``kernels`` selects the execution path of the shared operators:
     ``True`` (default) runs the vectorized columnar batch kernels — cached
     per-page column arrays, vectorized positional fetches, packed-word
-    bitmap routing; ``False`` runs the original per-tuple path.  The two
-    paths are byte-identical in results, simulated cost, and recorded
+    bitmap routing; ``False`` runs the original per-tuple path.  Both
+    feed the same scan segments (:func:`scan_segments`) to the pipelines,
+    so they are byte-identical in results, simulated cost, and recorded
     :class:`~repro.obs.analyze.OperatorActuals`; only wall time differs.
     """
 
@@ -85,16 +88,16 @@ def page_columns(
 def scan_columns(
     ctx: ExecContext, entry: TableEntry, operator_name: str
 ) -> "Iterator[Tuple[Page, List[np.ndarray], np.ndarray]]":
-    """One shared sequential scan yielding per-page column batches.
+    """One shared sequential scan yielding per-page column arrays.
 
     Checks the ``operator.pipeline`` fault site once per page (after the
     page read is charged, as the operators always have), then decodes the
     page: through the cached columnar view on the kernel path
     (:meth:`~repro.storage.page.Page.columns` via
     :meth:`~repro.storage.table.HeapTable.scan_batches`), or with a fresh
-    per-run :func:`page_columns` decode on the tuple path.  Both shared
-    scan operators (hash and hybrid) drive their pipelines from this one
-    stream, so the two paths cannot drift apart.
+    per-run :func:`page_columns` decode on the tuple path.  The shared
+    scan operators consume it through :func:`scan_segments`, which groups
+    these pages into segment-sized batches for both paths alike.
     """
     n_dims = ctx.schema.n_dims
     faults = ctx.faults
@@ -119,6 +122,141 @@ def scan_columns(
                 )
             keys, measures = page_columns(page, n_dims)
             yield page, keys, measures
+
+
+#: Rows per batch the shared scans feed their pipelines: pages are read,
+#: charged and fault-checked one at a time, but their columns are processed
+#: in segments of at least this many rows, so each numpy call sees about
+#: two thousand rows instead of one page's worth.
+SEGMENT_ROWS = 2048
+
+
+class Segment(NamedTuple):
+    """Consecutive scanned pages' columns, concatenated into one batch."""
+
+    n_pages: int
+    #: Row positions ``start .. stop-1`` the batch covers.  Heap pages fill
+    #: in order, so only a segment's last page can be short; ``stop`` counts
+    #: its actual rows.
+    start: int
+    stop: int
+    keys: List[np.ndarray]
+    measures: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        """Rows in the segment."""
+        return self.measures.size
+
+    def select(self, bits) -> np.ndarray:
+        """The segment's window of a per-position filter: a packed
+        :class:`~repro.index.bitmap.Bitmap` (kernel path, unpacking only the
+        covering words) or a full boolean array (tuple path)."""
+        if isinstance(bits, np.ndarray):
+            return bits[self.start : self.stop]
+        return bits.slice_bool(self.start, self.stop)
+
+
+def _segment(
+    pending: List[Tuple[Page, List[np.ndarray], np.ndarray]], capacity: int
+) -> Segment:
+    first_page = pending[0][0]
+    last_page, _keys, last_measures = pending[-1]
+    if len(pending) == 1:
+        _page, keys, measures = pending[0]
+    else:
+        keys = [
+            np.concatenate([item[1][d] for item in pending])
+            for d in range(len(pending[0][1]))
+        ]
+        measures = np.concatenate([item[2] for item in pending])
+    return Segment(
+        n_pages=len(pending),
+        start=first_page.page_no * capacity,
+        stop=last_page.page_no * capacity + last_measures.size,
+        keys=keys,
+        measures=measures,
+    )
+
+
+def scan_segments(
+    ctx: ExecContext, entry: TableEntry, operator_name: str
+) -> Iterator[Segment]:
+    """The shared scan of :func:`scan_columns`, batched into segments of at
+    least :data:`SEGMENT_ROWS` rows (the last one may be shorter).
+
+    Page reads, pool admission and fault checks happen per page, in scan
+    order; only the pipelines' work is batched.  Every
+    charge the pipelines make is an integer count, so the simulated clock
+    is exactly that of per-page processing.  If the scan raises mid-segment
+    (an injected ``storage.page_read`` or ``operator.pipeline`` fault), the
+    pages already read are yielded first and the exception re-raised on
+    the next step, so an aborted scan charges exactly the partial cost
+    per-page processing would have.
+    """
+    capacity = entry.table.capacity
+    pages = scan_columns(ctx, entry, operator_name)
+    pending: List[Tuple[Page, List[np.ndarray], np.ndarray]] = []
+    rows = 0
+    while True:
+        try:
+            item = next(pages)
+        except StopIteration:
+            break
+        except Exception:
+            if pending:
+                yield _segment(pending, capacity)
+            raise
+        pending.append(item)
+        rows += item[2].size
+        if rows >= SEGMENT_ROWS:
+            yield _segment(pending, capacity)
+            pending = []
+            rows = 0
+    if pending:
+        yield _segment(pending, capacity)
+
+
+def run_shared_scan(
+    ctx: ExecContext,
+    entry: TableEntry,
+    operator_name: str,
+    actuals: OperatorActuals,
+    scan_pipes: Sequence["QueryPipeline"],
+    routed: Sequence[Tuple[int, "QueryPipeline", object]] = (),
+) -> None:
+    """Drive one shared sequential scan of ``entry`` through every pipeline.
+
+    ``scan_pipes`` consume every scanned row.  Each ``(qid, pipeline,
+    bits)`` in ``routed`` is an index member of the paper's hybrid
+    operator (Section 3.3): its rows are tested against the member's
+    result bitmap ``bits`` (a packed bitmap, or a boolean array on the
+    tuple path) and only the survivors reach its pipeline.  Page and
+    routing counts accumulate into ``actuals``.
+    """
+    stats = ctx.stats
+    tuples_routed = None
+    if routed:
+        tuples_routed = default_registry().counter(
+            "executor.tuples_routed",
+            "retrieved tuples tested against a query's result bitmap",
+        )
+    for segment in scan_segments(ctx, entry, operator_name):
+        keys, measures = segment.keys, segment.measures
+        n_rows = segment.n_rows
+        actuals.pages_scanned += segment.n_pages
+        actuals.rows_scanned += n_rows
+        for pipe in scan_pipes:
+            pipe.process_batch(keys, measures, stats)
+        for qid, pipe, bits in routed:
+            stats.charge_bitmap_test(n_rows)
+            tuples_routed.inc(n_rows)
+            actuals.tuples_tested[qid] += n_rows
+            mine = segment.select(bits)
+            if not mine.any():
+                continue
+            actuals.tuples_routed[qid] += int(mine.sum())
+            pipe.process_batch([col[mine] for col in keys], measures[mine], stats)
 
 
 class RollupCache:
@@ -198,8 +336,8 @@ class QueryPipeline:
     """The probe-filter-aggregate tail of one query's star-join plan.
 
     Feed it batches of source-level key columns + measures (one batch per
-    page, or per retrieved probe set); read the final :class:`QueryResult`
-    with :meth:`result`.
+    scan segment, retrieved probe set, or derived intermediate); read the
+    final :class:`QueryResult` with :meth:`result`.
     """
 
     def __init__(

@@ -19,6 +19,7 @@ leading dimension.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,6 +47,23 @@ class ClassCosting:
     methods: List[JoinMethod]
     shared_io_ms: float = 0.0
     detail: Dict[str, float] = field(default_factory=dict)
+
+
+def _per_entry_query(method):
+    """Memoize a ``(entry, query)`` estimate per model instance, keyed by
+    (entry name, qid) — the lifetime contract of ``_standalone_cache``."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, entry: TableEntry, query: GroupByQuery):
+        key = (name, entry.name, query.qid)
+        try:
+            return self._estimates[key]
+        except KeyError:
+            value = self._estimates[key] = method(self, entry, query)
+            return value
+
+    return memoized
 
 
 class CostModel:
@@ -76,6 +94,8 @@ class CostModel:
         # Single-query costings recur constantly during greedy search; they
         # are memoized for the lifetime of this model (one optimize run).
         self._standalone_cache: Dict[Tuple[str, int], Optional[Tuple[JoinMethod, float]]] = {}
+        # Per-(entry, query) elementary estimates, under the same contract.
+        self._estimates: Dict[Tuple[str, str, int], object] = {}
 
     # -- selectivity (uniform by default, measured when analyzed) -------------
 
@@ -145,6 +165,7 @@ class CostModel:
     def _bitmap_words(self, entry: TableEntry) -> int:
         return (entry.n_rows + WORD_BITS - 1) // WORD_BITS
 
+    @_per_entry_query
     def _matching_rows(self, entry: TableEntry, query: GroupByQuery) -> float:
         return entry.n_rows * self.query_selectivity(entry, query)
 
@@ -195,6 +216,7 @@ class CostModel:
             return 0.0
         return dim_table.n_pages * self.rates.seq_page_read_ms
 
+    @_per_entry_query
     def _index_phase(
         self, entry: TableEntry, query: GroupByQuery
     ) -> Optional[Tuple[float, float, float]]:
@@ -230,6 +252,7 @@ class CostModel:
             cpu_ms += (n_indexed - 1) * words * r.bitmap_word_ms
         return io_ms, cpu_ms, indexed_sel
 
+    @_per_entry_query
     def _region_and_runs(
         self, entry: TableEntry, query: GroupByQuery
     ) -> Tuple[float, int]:

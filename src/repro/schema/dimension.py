@@ -78,6 +78,11 @@ class Dimension:
                     )
                 self._name_lookup[member_name] = (depth, member_id)
         self._rollup_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        # Members per depth, the ALL pseudo-level's single member last: the
+        # optimizer's cost model asks for these on every costing.
+        self._n_members: Tuple[int, ...] = tuple(
+            len(names) for names in self._member_names
+        ) + (1,)
 
     def _validate(self) -> None:
         for depth, parent in enumerate(self._parents):
@@ -107,10 +112,9 @@ class Dimension:
 
     def n_members(self, depth: int) -> int:
         """Number of members at the given level."""
-        if depth == self.all_level:
-            return 1
-        self._check_depth(depth)
-        return len(self._member_names[depth])
+        if not 0 <= depth <= self.n_levels:
+            self._check_depth(depth)  # raises IndexError
+        return self._n_members[depth]
 
     def level_name(self, depth: int) -> str:
         """Display name of one hierarchy level (ALL included)."""

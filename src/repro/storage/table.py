@@ -8,7 +8,7 @@ paper's "position based" join indexes.
 Scans and probes go through the owning :class:`~repro.storage.buffer.BufferPool`
 so that sequential vs. random I/O is accounted.  The columnar access paths
 (:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`) yield
-page-sized column batches with identical accounting; the batch kernels in
+per-page column arrays with identical accounting; the batch kernels in
 :mod:`repro.core.operators` are built on them.
 """
 
@@ -128,11 +128,15 @@ class HeapTable:
             faults.check("storage.scan", table=self.name)
         metrics = default_registry()
         metrics.counter("table.scans", "full sequential table scans").inc()
-        metrics.counter(
-            "table.scan_pages", "pages requested by sequential scans"
-        ).inc(self.n_pages)
+        scan_pages = metrics.counter(
+            "table.scan_pages", "pages fetched by sequential scans"
+        )
         for page_no in range(self.n_pages):
-            yield pool.get_page(self, page_no, sequential=True)
+            page = pool.get_page(self, page_no, sequential=True)
+            # Counted once fetched, so a scan aborted by a fault reports
+            # only the pages it really read.
+            scan_pages.inc()
+            yield page
 
     def scan_batches(
         self, pool: "BufferPool", n_keys: int

@@ -138,6 +138,10 @@ class TestValidation:
         with pytest.raises(IndexError):
             dim.n_members(7)
         with pytest.raises(IndexError):
+            dim.n_members(dim.all_level + 1)
+        with pytest.raises(IndexError):
+            dim.n_members(-1)
+        with pytest.raises(IndexError):
             dim.member_name(-1, 0)
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, InjectedFault, InjectionPoint
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
 from repro.storage.table import HeapTable
@@ -72,6 +74,29 @@ class TestAccountedAccess:
         assert len(rows) == 100
         assert stats.seq_page_reads == table.n_pages
         assert stats.rand_page_reads == 0
+
+    @pytest.mark.parametrize("fault_page", [0, 1, 9, 16])
+    def test_scan_pages_metric_counts_only_fetched_pages(self, fault_page):
+        # A storage.page_read fault on page k aborts the scan after k
+        # fetched pages; the metric must not claim the whole table.
+        table = make_table(100)
+        stats = IOStats()
+        pool = BufferPool(stats, capacity_pages=4)
+        pool.faults = FaultPlan(
+            [InjectionPoint(site="storage.page_read", nth=fault_page + 1)]
+        )
+        fresh = MetricsRegistry()
+        previous = set_default_registry(fresh)
+        try:
+            fetched = 0
+            with pytest.raises(InjectedFault):
+                for _page in table.scan_pages(pool):
+                    fetched += 1
+            assert fetched == fault_page
+            assert fresh.get("table.scan_pages").value == fault_page
+            assert stats.seq_page_reads == fault_page
+        finally:
+            set_default_registry(previous)
 
     def test_probe_charges_one_random_read_per_distinct_page(self):
         table = make_table(100)
