@@ -30,6 +30,7 @@ from .check import (
     CorrectnessError,
     PlanCoverageError,
     PlanValidationError,
+    evaluate_reference,
     reference_answer,
     validate_global_plan,
 )
@@ -43,7 +44,7 @@ from .core import (
     SharedScanHashStarJoin,
     make_optimizer,
 )
-from .engine import Database, evaluate_reference, to_sql
+from .engine import Database, to_sql
 from .faults import (
     FaultPlan,
     InjectedFault,

@@ -102,16 +102,10 @@ class RunRecord:
     tests: Dict[str, List[dict]] = field(default_factory=dict)
     #: Calibration summary (see CalibrationReport.summary()).
     calibration: dict = field(default_factory=dict)
-    #: Execution path of the run: True = columnar kernels, False = the
-    #: per-tuple fallback, None = recorded before the flag existed.
-    #: Deliberately *not* part of the fingerprint — both paths produce the
-    #: same simulated costs, so their records gate against each other.
-    kernels: Optional[bool] = None
     #: Identity of the calibration profile the run was recorded under
     #: (``{"label", "digest"}``), or None for hand-set default rates.
-    #: Unlike ``kernels`` this IS mirrored in the fingerprint: fitted
-    #: rates change simulated costs, so profiled and unprofiled records
-    #: must never gate each other.
+    #: Mirrored in the fingerprint: fitted rates change simulated costs,
+    #: so profiled and unprofiled records must never gate each other.
     profile: Optional[dict] = None
     #: Wall-clock seconds (context only, never gated):
     #: ``{"figures_s", "calibration_s", "total_s"}``.
@@ -124,7 +118,6 @@ class RunRecord:
             "label": self.label,
             "created_at": self.created_at,
             "fingerprint": self.fingerprint,
-            "kernels": self.kernels,
             "profile": self.profile,
             "wall": self.wall,
             "figures": self.figures,
@@ -140,7 +133,9 @@ class RunRecord:
         string ``total_s``, non-dict test rows, …) must fail here with a
         :class:`ValueError` naming the bad field — not as an
         ``AttributeError``/``TypeError`` traceback deep inside the
-        leaderboard renderer or the regression gate.
+        leaderboard renderer or the regression gate.  Keys it does not know
+        (such as the retired ``kernels`` execution-path flag of older
+        records) are ignored.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -164,16 +159,10 @@ class RunRecord:
             figures=_rows_by_name(data, "figures"),
             tests=_rows_by_name(data, "tests"),
             calibration=_typed(data, "calibration", dict, {}),
-            kernels=data.get("kernels"),
             profile=data.get("profile"),
             wall=_typed(data, "wall", dict, {}),
             version=version,
         )
-        if record.kernels is not None and not isinstance(record.kernels, bool):
-            raise ValueError(
-                f"field 'kernels' must be a boolean or null, got "
-                f"{type(record.kernels).__name__}"
-            )
         if record.profile is not None and not isinstance(record.profile, dict):
             raise ValueError(
                 f"field 'profile' must be an object or null, got "
@@ -237,14 +226,11 @@ def record_run(
     tests: Optional[Sequence[str]] = None,
     algorithms: Optional[Sequence[str]] = None,
     figures: bool = True,
-    kernels: bool = True,
     profile=None,
 ) -> RunRecord:
     """Run the paper workload and build its telemetry record.
 
-    ``db`` defaults to a freshly built paper database at ``scale``;
-    ``kernels=False`` builds it on the per-tuple execution path (ignored
-    when ``db`` is given — the database's own flag wins).  ``tests``
+    ``db`` defaults to a freshly built paper database at ``scale``.  ``tests``
     restricts the calibration/Table-2 sweep (see
     :data:`repro.obs.analyze.CALIBRATION_TESTS`); ``figures=False`` skips
     the Figures 10–12 sharing sweeps (the slow part at larger scales).
@@ -262,7 +248,7 @@ def record_run(
     if db is None:
         from ..workload.paper_schema import build_paper_database
 
-        db = build_paper_database(scale=scale, kernels=kernels)
+        db = build_paper_database(scale=scale)
     if profile is not None:
         db.apply_profile(profile)
     active_profile = getattr(db, "calibration_profile", None)
@@ -271,7 +257,6 @@ def record_run(
         label=label,
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         fingerprint=database_fingerprint(db, scale=scale),
-        kernels=bool(getattr(db, "kernels", True)),
         profile=(
             active_profile.identity() if active_profile is not None else None
         ),

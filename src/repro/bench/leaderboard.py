@@ -1,12 +1,11 @@
 """Markdown leaderboard over committed benchmark records.
 
 The repo commits one ``BENCH_<label>.json`` per tracked configuration
-(e.g. ``BENCH_seed.json`` for the per-tuple path, ``BENCH_kernels.json``
-for the columnar kernels).  :func:`load_records` collects every such file
-in a directory and :func:`render_leaderboard` turns them into the markdown
-table embedded in ``docs/performance.md`` — simulated costs side by side
-(they must match between execution paths) with the wall-clock column
-showing the real win.
+(``BENCH_kernels.json`` under the default cost rates,
+``BENCH_calibrated.json`` under the fitted profile).  :func:`load_records`
+collects every such file in a directory and :func:`render_leaderboard`
+turns them into the markdown table embedded in ``docs/performance.md`` —
+simulated costs side by side, with wall-clock seconds as context.
 
 CLI: ``repro bench --leaderboard [--dir DIR] [--output FILE]``.
 """
@@ -17,10 +16,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .history import PathLike, RunRecord
-
-#: Display names for the RunRecord.kernels tri-state.
-_PATH_NAMES = {True: "kernels", False: "tuple", None: "?"}
-
 
 def load_records(
     directory: Optional[PathLike] = None,
@@ -151,15 +146,14 @@ def render_leaderboard(
         return (wall is None, wall if wall is not None else 0.0, str(path))
 
     lines = [
-        "| record | path | profile | recorded | wall s | gg sim-ms "
+        "| record | profile | recorded | wall s | gg sim-ms "
         "| dag sim-ms | best speedup | q-error p95 | misrankings |",
-        "|---|---|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|---|",
     ]
     for path, record in sorted(records, key=sort_key):
         lines.append(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |".format(
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |".format(
                 Path(path).name,
-                _PATH_NAMES.get(record.kernels, "?"),
                 _cell(_profile_name(record)),
                 record.created_at or "-",
                 _cell(record.wall.get("total_s"), "{:.2f}"),

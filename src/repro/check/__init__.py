@@ -5,7 +5,8 @@ must produce, for every component query, precisely the answer the
 single-query plan would.  This package is the oracle asserting it:
 
 * :mod:`repro.check.reference` — ground truth by naive tuple-at-a-time
-  scan of the raw fact table (no sharing, no indexes, no views);
+  scan of the raw fact table (no sharing, no indexes, no views), or of
+  any row iterable (:func:`evaluate_reference`);
 * :mod:`repro.check.validate` — structural validation of a global plan
   (coverage, lattice ancestry, method mix) before it runs;
 * :mod:`repro.check.paranoia` — group-for-group cross-checking of executed
@@ -31,7 +32,7 @@ from .paranoia import (
     first_divergence,
     recheck_cache_hits,
 )
-from .reference import raw_base_entry, reference_answer
+from .reference import evaluate_reference, raw_base_entry, reference_answer
 from .validate import expected_operator, validate_class, validate_global_plan
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "PlanValidationError",
     "check_result",
     "check_results",
+    "evaluate_reference",
     "expected_operator",
     "first_divergence",
     "raw_base_entry",

@@ -1,30 +1,102 @@
 """The ground-truth evaluator: one query, one tuple-at-a-time scan.
 
 Deliberately naive, per Gray et al.'s data-cube semantics: answer a
-:class:`~repro.schema.query.GroupByQuery` by scanning the *raw fact table*
-row by row, joining each tuple to its dimension hierarchies by per-row
-rollup navigation, applying every predicate, and folding the measure into a
-plain dict accumulator.  No sharing, no indexes, no materialized group-bys,
-no buffer pool — nothing the engine under test relies on.  Oracle work is
-free: it never touches the simulated cost clock.
+:class:`~repro.schema.query.GroupByQuery` by scanning rows one by one,
+joining each tuple to its dimension hierarchies by per-row rollup
+navigation, applying every predicate, and folding the measure into a plain
+dict accumulator.  No sharing, no indexes, no buffer pool — nothing the
+engine under test relies on, so an engine bug cannot leak into the oracle.
+Oracle work is free: it never touches the simulated cost clock.
 
-This intentionally shares no code with
-:func:`repro.engine.reference.evaluate_reference` (which evaluates over an
-arbitrary row iterable for operator-level unit tests); an oracle that
-reused engine plumbing could inherit an engine bug.
+:func:`evaluate_reference` takes any row iterable (the raw fact table, or a
+materialized view's rows together with the view's levels and measure);
+:func:`reference_answer` is that evaluator over a database's raw fact table.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..core.operators.results import QueryResult
+from ..schema.lattice import aggregate_compatible, effective_aggregate
 from ..schema.query import Aggregate, GroupByQuery
+from ..schema.star import StarSchema
 from ..storage.catalog import Catalog, TableEntry
+from ..storage.page import Row
 from .errors import PlanValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.database import Database
+
+
+def evaluate_reference(
+    schema: StarSchema,
+    rows: Iterable[Row],
+    query: GroupByQuery,
+    source_levels: Optional[Tuple[int, ...]] = None,
+    source_aggregate: Optional[str] = None,
+) -> QueryResult:
+    """Evaluate ``query`` over ``rows`` stored at ``source_levels``
+    (default: the base/leaf levels).
+
+    ``source_aggregate`` names the aggregate a view's measure column holds
+    (None for raw data); the fold is adjusted exactly as re-aggregating a
+    view requires (COUNT over a COUNT view sums the stored counts).
+    Tuples passing all predicates contribute to exactly the one group the
+    target group-by assigns them (the correctness contract behind the
+    paper's "Filter tuples" routing).
+    """
+    if source_levels is None:
+        source_levels = schema.base_levels()
+    if not query.answerable_from(source_levels):
+        raise ValueError("query is not answerable from the given source levels")
+    if not aggregate_compatible(query.aggregate, source_aggregate):
+        raise ValueError(
+            "query aggregate is incompatible with the source's measure"
+        )
+    fold = effective_aggregate(query.aggregate, source_aggregate)
+    n_dims = schema.n_dims
+    groups: Dict[Tuple[int, ...], float] = {}
+    counts: Dict[Tuple[int, ...], int] = {}
+    for row in rows:
+        # Join the tuple to each dimension: navigate from the stored key up
+        # to whatever level a predicate or the target group-by needs.
+        passed = True
+        for pred in query.predicates:
+            d = pred.dim_index
+            dim = schema.dimensions[d]
+            value = dim.rollup(source_levels[d], pred.level, int(row[d]))
+            if value not in pred.member_ids:
+                passed = False
+                break
+        if not passed:
+            continue
+        key = []
+        for d in range(n_dims):
+            dim = schema.dimensions[d]
+            level = query.groupby.levels[d]
+            if level == dim.all_level:
+                key.append(0)
+            else:
+                key.append(dim.rollup(source_levels[d], level, int(row[d])))
+        key = tuple(key)
+        measure = float(row[n_dims])
+        if fold is Aggregate.SUM:
+            groups[key] = groups.get(key, 0.0) + measure
+        elif fold is Aggregate.COUNT:
+            groups[key] = groups.get(key, 0.0) + 1.0
+        elif fold is Aggregate.MIN:
+            groups[key] = min(groups.get(key, measure), measure)
+        elif fold is Aggregate.MAX:
+            groups[key] = max(groups.get(key, measure), measure)
+        elif fold is Aggregate.AVG:
+            groups[key] = groups.get(key, 0.0) + measure
+            counts[key] = counts.get(key, 0) + 1
+        else:  # pragma: no cover - Aggregate is a closed enum
+            raise NotImplementedError(fold)
+    if fold is Aggregate.AVG:
+        groups = {key: total / counts[key] for key, total in groups.items()}
+    return QueryResult(query=query, groups=groups)
 
 
 def raw_base_entry(
@@ -59,61 +131,10 @@ def raw_base_entry(
 def reference_answer(
     db: "Database", query: GroupByQuery, base_name: Optional[str] = None
 ) -> QueryResult:
-    """Ground truth for ``query``: a naive scan of the raw fact table.
-
-    Every tuple is joined to each dimension by rollup navigation; tuples
-    passing all predicates contribute to exactly the one group the target
-    group-by assigns them (the correctness contract behind the paper's
-    "Filter tuples" routing).
-    """
-    schema = db.schema
-    query.validate(schema)
+    """Ground truth for ``query``: :func:`evaluate_reference` over a naive
+    scan of the raw fact table (no views, no indexes)."""
+    query.validate(db.schema)
     entry = raw_base_entry(db.catalog, base_name)
-    source_levels = entry.levels
-    n_dims = schema.n_dims
-    sums: Dict[Tuple[int, ...], float] = {}
-    counts: Dict[Tuple[int, ...], int] = {}
-    mins: Dict[Tuple[int, ...], float] = {}
-    maxs: Dict[Tuple[int, ...], float] = {}
-    for row in entry.table.all_rows():
-        # Join the tuple to each dimension: navigate from the stored key up
-        # to whatever level a predicate or the target group-by needs.
-        keep = True
-        for pred in query.predicates:
-            d = pred.dim_index
-            member = schema.dimensions[d].rollup(
-                source_levels[d], pred.level, int(row[d])
-            )
-            if member not in pred.member_ids:
-                keep = False
-                break
-        if not keep:
-            continue
-        group = []
-        for d in range(n_dims):
-            dim = schema.dimensions[d]
-            target = query.groupby.levels[d]
-            if target == dim.all_level:
-                group.append(0)
-            else:
-                group.append(dim.rollup(source_levels[d], target, int(row[d])))
-        key = tuple(group)
-        measure = float(row[n_dims])
-        sums[key] = sums.get(key, 0.0) + measure
-        counts[key] = counts.get(key, 0) + 1
-        mins[key] = min(mins.get(key, measure), measure)
-        maxs[key] = max(maxs.get(key, measure), measure)
-    aggregate = query.aggregate
-    if aggregate is Aggregate.SUM:
-        groups = sums
-    elif aggregate is Aggregate.COUNT:
-        groups = {key: float(n) for key, n in counts.items()}
-    elif aggregate is Aggregate.MIN:
-        groups = mins
-    elif aggregate is Aggregate.MAX:
-        groups = maxs
-    elif aggregate is Aggregate.AVG:
-        groups = {key: total / counts[key] for key, total in sums.items()}
-    else:  # pragma: no cover - Aggregate is a closed enum
-        raise NotImplementedError(aggregate)
-    return QueryResult(query=query, groups=groups)
+    return evaluate_reference(
+        db.schema, entry.table.all_rows(), query, entry.levels
+    )

@@ -492,7 +492,6 @@ def _isolated_context(db: "Database") -> ExecContext:
         stats=stats,
         dim_tables=db.dimension_tables or None,
         faults=faults,
-        kernels=getattr(db, "kernels", True),
     )
 
 

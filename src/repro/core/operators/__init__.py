@@ -15,7 +15,7 @@ from .index_join import (
     query_result_bitmap,
     usable_index,
 )
-from .pipeline import ExecContext, QueryPipeline, RollupCache, page_columns
+from .pipeline import ExecContext, QueryPipeline, RollupCache
 from .results import GroupKey, QueryResult
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "SharedHybridStarJoin",
     "SharedIndexStarJoin",
     "SharedScanHashStarJoin",
-    "page_columns",
     "query_result_bitmap",
     "usable_index",
 ]

@@ -18,8 +18,7 @@ operator extends :class:`SharedHybridStarJoin` with that derive phase:
 
 Because phase 3 reuses the same probe-filter-aggregate pipeline as every
 other operator (sharing the class's :class:`RollupCache`), results are
-byte-identical to scanning, and both the columnar-kernel and per-tuple
-paths behave the same.
+byte-identical to scanning.
 """
 
 from __future__ import annotations

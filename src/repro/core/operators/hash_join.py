@@ -9,10 +9,8 @@ exactly the trade-off the paper measures in Test 1 / Figure 10.
 
 Both operators consume the scan as segment-sized columnar batches
 (:func:`~.pipeline.run_shared_scan`): pages are read and charged one at a
-time, and each segment of consecutive pages feeds every pipeline in one
-call.  On the default kernel path the columns come from the pages' cached
-arrays, on the tuple fallback they are re-decoded per run — identical
-values, identical accounting.
+time, and each segment of consecutive pages (columns taken from the
+pages' cached arrays) feeds every pipeline in one call.
 """
 
 from __future__ import annotations

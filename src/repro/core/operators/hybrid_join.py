@@ -10,17 +10,16 @@ bitmap-test CPU cost per index query remains — the behaviour measured in
 Test 3 / Figure 12.
 
 The scan arrives as segment-sized columnar batches
-(:func:`~.pipeline.run_shared_scan`).  On the default kernel path each
-index query's filter stays a packed :class:`~repro.index.bitmap.Bitmap`,
-sliced per segment with :meth:`~repro.index.bitmap.Bitmap.slice_bool`; the
-tuple fallback decodes pages per run and unpacks each filter to a full
-boolean array.  Both paths charge and answer identically.
+(:func:`~.pipeline.run_shared_scan`).  Each index query's filter stays a
+packed :class:`~repro.index.bitmap.Bitmap`, sliced per segment with
+:meth:`~repro.index.bitmap.Bitmap.slice_bool`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from ...index.bitmap import Bitmap
 from ...obs.analyze import OperatorActuals
 from ...schema.lattice import source_can_answer
 from ...schema.query import GroupByQuery
@@ -35,22 +34,19 @@ def index_member_filters(
     source: TableEntry,
     index_queries: Sequence[GroupByQuery],
     actuals: OperatorActuals,
-) -> List[object]:
+) -> List[Bitmap]:
     """Phase 1 of each index plan: build its result bitmap.
 
-    Returns one scan filter per query, for :func:`run_shared_scan`'s
-    routing: the packed bitmap itself on the kernel path (each segment
-    unpacks only its window of words), a full boolean array on the tuple
-    path.  Records each bitmap's popcount and zeroes the routing counters.
+    Returns one packed bitmap per query, for :func:`run_shared_scan`'s
+    routing (each segment unpacks only its window of words).  Records each
+    bitmap's popcount and zeroes the routing counters.
     """
     bitmaps = [query_result_bitmap(ctx, source, q) for q in index_queries]
     for query, bitmap in zip(index_queries, bitmaps):
         actuals.bitmap_popcounts[query.qid] = int(bitmap.count())
         actuals.tuples_tested[query.qid] = 0
         actuals.tuples_routed[query.qid] = 0
-    if ctx.kernels:
-        return bitmaps
-    return [bm.to_bool_array() for bm in bitmaps]
+    return bitmaps
 
 
 class SharedHybridStarJoin:

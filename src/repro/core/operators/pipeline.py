@@ -19,6 +19,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...index.bitmap import Bitmap
 from ...obs.analyze import OperatorActuals
 from ...obs.metrics import default_registry
 from ...obs.trace import NULL_TRACER
@@ -46,15 +47,7 @@ class ExecContext:
 
     ``faults`` carries an armed :class:`repro.faults.FaultPlan` (or None);
     operators pass it to index lookups and check the ``operator.pipeline``
-    site once per scanned page (see :func:`scan_columns`).
-
-    ``kernels`` selects the execution path of the shared operators:
-    ``True`` (default) runs the vectorized columnar batch kernels — cached
-    per-page column arrays, vectorized positional fetches, packed-word
-    bitmap routing; ``False`` runs the original per-tuple path.  Both
-    feed the same scan segments (:func:`scan_segments`) to the pipelines,
-    so they are byte-identical in results, simulated cost, and recorded
-    :class:`~repro.obs.analyze.OperatorActuals`; only wall time differs.
+    site once per scanned page (see :func:`scan_segments`).
     """
 
     schema: StarSchema
@@ -64,64 +57,10 @@ class ExecContext:
     dim_tables: Optional[Dict[str, object]] = None
     tracer: object = field(default=NULL_TRACER)
     faults: Optional[object] = None
-    kernels: bool = True
 
     def entry(self, table_name: str) -> TableEntry:
         """Catalog entry by table name."""
         return self.catalog.get(table_name)
-
-
-def page_columns(
-    page: Page, n_dims: int
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Split a page's rows into per-dimension key columns and the measure
-    column.  Shared operators call this once per page for *all* queries."""
-    if not page.rows:
-        empty = np.empty(0, dtype=np.int64)
-        return [empty] * n_dims, np.empty(0, dtype=np.float64)
-    matrix = np.asarray(page.rows, dtype=np.float64)
-    keys = [matrix[:, d].astype(np.int64) for d in range(n_dims)]
-    measures = matrix[:, n_dims]
-    return keys, measures
-
-
-def scan_columns(
-    ctx: ExecContext, entry: TableEntry, operator_name: str
-) -> "Iterator[Tuple[Page, List[np.ndarray], np.ndarray]]":
-    """One shared sequential scan yielding per-page column arrays.
-
-    Checks the ``operator.pipeline`` fault site once per page (after the
-    page read is charged, as the operators always have), then decodes the
-    page: through the cached columnar view on the kernel path
-    (:meth:`~repro.storage.page.Page.columns` via
-    :meth:`~repro.storage.table.HeapTable.scan_batches`), or with a fresh
-    per-run :func:`page_columns` decode on the tuple path.  The shared
-    scan operators consume it through :func:`scan_segments`, which groups
-    these pages into segment-sized batches for both paths alike.
-    """
-    n_dims = ctx.schema.n_dims
-    faults = ctx.faults
-    if ctx.kernels:
-        for page, keys, measures in entry.table.scan_batches(
-            ctx.pool, n_dims
-        ):
-            if faults is not None:
-                faults.check(
-                    "operator.pipeline",
-                    operator=operator_name,
-                    table=entry.name,
-                )
-            yield page, keys, measures
-    else:
-        for page in entry.table.scan_pages(ctx.pool):
-            if faults is not None:
-                faults.check(
-                    "operator.pipeline",
-                    operator=operator_name,
-                    table=entry.name,
-                )
-            keys, measures = page_columns(page, n_dims)
-            yield page, keys, measures
 
 
 #: Rows per batch the shared scans feed their pipelines: pages are read,
@@ -147,14 +86,6 @@ class Segment(NamedTuple):
     def n_rows(self) -> int:
         """Rows in the segment."""
         return self.measures.size
-
-    def select(self, bits) -> np.ndarray:
-        """The segment's window of a per-position filter: a packed
-        :class:`~repro.index.bitmap.Bitmap` (kernel path, unpacking only the
-        covering words) or a full boolean array (tuple path)."""
-        if isinstance(bits, np.ndarray):
-            return bits[self.start : self.stop]
-        return bits.slice_bool(self.start, self.stop)
 
 
 def _segment(
@@ -182,11 +113,14 @@ def _segment(
 def scan_segments(
     ctx: ExecContext, entry: TableEntry, operator_name: str
 ) -> Iterator[Segment]:
-    """The shared scan of :func:`scan_columns`, batched into segments of at
+    """One shared sequential scan of ``entry``, batched into segments of at
     least :data:`SEGMENT_ROWS` rows (the last one may be shorter).
 
     Page reads, pool admission and fault checks happen per page, in scan
-    order; only the pipelines' work is batched.  Every
+    order: each page is read through
+    :meth:`~repro.storage.table.HeapTable.scan_batches` (its cached
+    columnar view), then the ``operator.pipeline`` fault site is checked
+    once.  Only the pipelines' work is batched.  Every
     charge the pipelines make is an integer count, so the simulated clock
     is exactly that of per-page processing.  If the scan raises mid-segment
     (an injected ``storage.page_read`` or ``operator.pipeline`` fault), the
@@ -195,12 +129,19 @@ def scan_segments(
     per-page processing would have.
     """
     capacity = entry.table.capacity
-    pages = scan_columns(ctx, entry, operator_name)
+    faults = ctx.faults
+    pages = entry.table.scan_batches(ctx.pool, ctx.schema.n_dims)
     pending: List[Tuple[Page, List[np.ndarray], np.ndarray]] = []
     rows = 0
     while True:
         try:
             item = next(pages)
+            if faults is not None:
+                faults.check(
+                    "operator.pipeline",
+                    operator=operator_name,
+                    table=entry.name,
+                )
         except StopIteration:
             break
         except Exception:
@@ -223,16 +164,15 @@ def run_shared_scan(
     operator_name: str,
     actuals: OperatorActuals,
     scan_pipes: Sequence["QueryPipeline"],
-    routed: Sequence[Tuple[int, "QueryPipeline", object]] = (),
+    routed: Sequence[Tuple[int, "QueryPipeline", Bitmap]] = (),
 ) -> None:
     """Drive one shared sequential scan of ``entry`` through every pipeline.
 
     ``scan_pipes`` consume every scanned row.  Each ``(qid, pipeline,
     bits)`` in ``routed`` is an index member of the paper's hybrid
     operator (Section 3.3): its rows are tested against the member's
-    result bitmap ``bits`` (a packed bitmap, or a boolean array on the
-    tuple path) and only the survivors reach its pipeline.  Page and
-    routing counts accumulate into ``actuals``.
+    result bitmap ``bits`` and only the survivors reach its pipeline.
+    Page and routing counts accumulate into ``actuals``.
     """
     stats = ctx.stats
     tuples_routed = None
@@ -252,7 +192,8 @@ def run_shared_scan(
             stats.charge_bitmap_test(n_rows)
             tuples_routed.inc(n_rows)
             actuals.tuples_tested[qid] += n_rows
-            mine = segment.select(bits)
+            # Unpack only the words covering the segment's positions.
+            mine = bits.slice_bool(segment.start, segment.stop)
             if not mine.any():
                 continue
             actuals.tuples_routed[qid] += int(mine.sum())

@@ -21,7 +21,6 @@ from .materialize import (
     compute_groupby_rows,
     pick_materialization_source,
 )
-from .reference import evaluate_reference
 from .session import QuerySession, SessionReport, query_key
 from .sqlgen import level_column, to_sql
 from .statistics import ColumnStats, TableStats, analyze, analyze_table
@@ -59,7 +58,6 @@ __all__ = [
     "build_groupby_table",
     "compute_groupby_rows",
     "drill_down",
-    "evaluate_reference",
     "greedy_select_views",
     "level_column",
     "load_csv",

@@ -47,19 +47,12 @@ class Database:
         buffer_pages: int = DEFAULT_POOL_PAGES,
         rates: Optional[CostRates] = None,
         paranoia: bool = False,
-        kernels: bool = True,
     ):
         self.schema = schema
         self.page_size = page_size
         self.stats = IOStats(rates=rates or DEFAULT_RATES)
         self.pool = BufferPool(self.stats, capacity_pages=buffer_pages)
         self.catalog = Catalog()
-        #: Execution path of the shared operators: ``True`` (default) runs
-        #: the vectorized columnar batch kernels, ``False`` the legacy
-        #: per-tuple path.  Results, simulated costs, and recorded actuals
-        #: are byte-identical either way; only wall time differs.  The CLI
-        #: exposes this as ``--tuple-path``.
-        self.kernels = kernels
         #: Differential-checking mode (see :mod:`repro.check`): validate
         #: every plan before execution and cross-check every result against
         #: the brute-force reference.  Slow; for tests and debugging.
@@ -300,7 +293,6 @@ class Database:
             dim_tables=self.dimension_tables or None,
             tracer=self.tracer,
             faults=self.faults,
-            kernels=self.kernels,
         )
 
     def arm_faults(self, plan) -> None:

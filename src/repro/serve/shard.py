@@ -207,7 +207,6 @@ def _shard_context(db: "Database", shard: Shard) -> ExecContext:
         stats=stats,
         dim_tables=db.dimension_tables or None,
         faults=faults,
-        kernels=getattr(db, "kernels", True),
     )
 
 

@@ -9,14 +9,11 @@ paper's I/O arithmetic (e.g. its 20-byte, five-attribute base tuples).
 
 Each page additionally exposes a **columnar view** (:meth:`Page.columns`):
 per-dimension ``int64`` key arrays plus the ``float64`` measure column,
-decoded from the row tuples once and cached on the page.  The vectorized
-batch kernels (see :mod:`repro.core.operators`) read this view, so a page
-is decoded at most once over the life of the table instead of once per
+decoded from the row tuples once and cached on the page.  The shared
+operators (see :mod:`repro.core.operators`) read this view, so a page is
+decoded at most once over the life of the table instead of once per
 operator execution per scan — the heart of the columnar row-batch layout.
-The cache is invalidated on append, and the arrays hold exactly the values
-the per-run decode (:func:`repro.core.operators.pipeline.page_columns`)
-would produce, which keeps the kernel and tuple execution paths
-byte-identical.
+The cache is invalidated on append and update.
 """
 
 from __future__ import annotations

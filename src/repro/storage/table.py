@@ -6,10 +6,11 @@ bitmap join indexes use these positions as bit offsets, exactly like the
 paper's "position based" join indexes.
 
 Scans and probes go through the owning :class:`~repro.storage.buffer.BufferPool`
-so that sequential vs. random I/O is accounted.  The columnar access paths
-(:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`) yield
-per-page column arrays with identical accounting; the batch kernels in
-:mod:`repro.core.operators` are built on them.
+so that sequential vs. random I/O is accounted.  The shared operators in
+:mod:`repro.core.operators` read through the columnar access paths
+(:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`), which
+yield per-page column arrays with the same accounting as the row-wise
+:meth:`HeapTable.scan_pages` and :meth:`HeapTable.probe_positions`.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class HeapTable:
         I/O accounting, metrics, and fault checks are exactly those of
         :meth:`scan_pages` — the columnar decode itself is free on the
         simulated clock (it models reading a column-laid-out page image),
-        and cached across scans, which is where the batch kernels win
+        and cached across scans, which is where the shared operators save
         wall time.
         """
         for page in self.scan_pages(pool):

@@ -9,7 +9,7 @@ from repro.engine.advisor import (
     attach_log,
     recommend_views,
 )
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.engine.result_cache import ResultCache, attach_cache
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.workload.generator import generate_fact_rows

@@ -9,7 +9,7 @@ every SUM view to the base table — or to a COUNT view if one exists.
 import pytest
 
 from repro.core.operators.hash_join import HashStarJoin
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.lattice import (
     aggregate_compatible,
     effective_aggregate,

@@ -158,35 +158,25 @@ class TestCompareRecords:
         assert DEFAULT_THRESHOLDS == before
 
 
-class TestKernelsAndWallFields:
-    def test_round_trip(self, tmp_path):
+class TestLegacyAndWallFields:
+    def test_wall_round_trip(self, tmp_path):
         record = make_record()
-        record.kernels = False
         record.wall = {"calibration_s": 1.25, "total_s": 2.5}
         path = tmp_path / "BENCH_k.json"
         record.save(path)
         loaded = RunRecord.load(path)
-        assert loaded.kernels is False
         assert loaded.wall == {"calibration_s": 1.25, "total_s": 2.5}
 
-    def test_pre_kernels_records_still_load(self):
-        """Records written before the kernels/wall fields existed."""
+    def test_legacy_kernels_key_is_ignored(self):
+        """Committed records carry the retired execution-path flag
+        ``"kernels"`` (and older ones no ``wall``); both still load."""
         doc = make_record().to_dict()
-        del doc["kernels"]
+        doc["kernels"] = True
         del doc["wall"]
         loaded = RunRecord.from_dict(doc)
-        assert loaded.kernels is None
+        assert not hasattr(loaded, "kernels")
         assert loaded.wall == {}
-
-    def test_kernels_flag_never_gates(self):
-        """Same fingerprint, different execution path: comparable — the
-        paths are byte-identical in simulated cost by contract."""
-        kernel_record = make_record()
-        kernel_record.kernels = True
-        tuple_record = make_record()
-        tuple_record.kernels = False
-        report = compare_records(kernel_record, tuple_record)
-        assert report.passed
+        assert compare_records(loaded, make_record()).passed
 
 
 class TestLeaderboard:
@@ -194,21 +184,19 @@ class TestLeaderboard:
         from repro.bench.leaderboard import load_records
 
         fast = make_record()
-        fast.kernels = True
         fast.wall = {"total_s": 1.0}
         fast.figures["fig10"][0]["speedup"] = 1.6
-        fast.save(tmp_path / "BENCH_kernels.json")
+        fast.save(tmp_path / "BENCH_fast.json")
         slow = make_record()
-        slow.kernels = False
         slow.wall = {"total_s": 3.0}
         slow.figures["fig10"][0]["speedup"] = 1.6
-        slow.save(tmp_path / "BENCH_seed.json")
+        slow.save(tmp_path / "BENCH_slow.json")
         return load_records(tmp_path)
 
     def test_load_records_globs_and_sorts(self, tmp_path):
         records = self.make_pair(tmp_path)
         assert [path.name for path, _r in records] == [
-            "BENCH_kernels.json", "BENCH_seed.json",
+            "BENCH_fast.json", "BENCH_slow.json",
         ]
 
     def test_render_orders_by_wall(self, tmp_path):
@@ -216,9 +204,9 @@ class TestLeaderboard:
 
         table = render_leaderboard(self.make_pair(tmp_path))
         lines = table.splitlines()
-        assert lines[0].startswith("| record | path |")
-        assert "BENCH_kernels.json | kernels" in lines[2]
-        assert "BENCH_seed.json | tuple" in lines[3]
+        assert lines[0].startswith("| record | profile |")
+        assert lines[2].startswith("| BENCH_fast.json |")
+        assert lines[3].startswith("| BENCH_slow.json |")
 
     def test_render_summarizes_metrics(self, tmp_path):
         from repro.bench.leaderboard import render_leaderboard
@@ -296,10 +284,6 @@ class TestRecordTypeValidation:
     def test_boolean_wall_value_rejected(self):
         with pytest.raises(ValueError, match="wall.total_s"):
             RunRecord.from_dict(self.drift(wall={"total_s": True}))
-
-    def test_non_bool_kernels_rejected(self):
-        with pytest.raises(ValueError, match="kernels"):
-            RunRecord.from_dict(self.drift(kernels="yes"))
 
     def test_rows_must_be_list_of_objects(self):
         with pytest.raises(ValueError, match="tests"):

@@ -104,37 +104,31 @@ class TestCliGate:
         assert "incomparable" in capsys.readouterr().err
 
 
-class TestExecutionPaths:
-    def test_tuple_record_compares_clean_against_kernels(self, tmp_path,
-                                                         monkeypatch, capsys):
-        """The committed-baseline workflow: a per-tuple record and a kernel
-        record of the same configuration gate PASS against each other
-        (identical simulated costs), and each knows its path."""
+class TestRecordedPair:
+    def test_two_records_compare_clean(self, tmp_path, monkeypatch, capsys):
+        """The committed-baseline workflow: two records of the same
+        configuration gate PASS against each other (identical simulated
+        costs) and share a fingerprint."""
         monkeypatch.chdir(tmp_path)
         base = ["bench", "--scale", str(SCALE), "--tests", "test4",
                 "--no-figures"]
-        assert main(base + ["--record", "--label", "seed",
-                            "--tuple-path"]) == 0
-        assert main(base + ["--record", "--label", "kernels", "--compare",
-                            "--baseline", "BENCH_seed.json"]) == 0
+        assert main(base + ["--record", "--label", "first"]) == 0
+        assert main(base + ["--record", "--label", "second", "--compare",
+                            "--baseline", "BENCH_first.json"]) == 0
         assert "PASS" in capsys.readouterr().out
-        seed = RunRecord.load(tmp_path / "BENCH_seed.json")
-        kernels = RunRecord.load(tmp_path / "BENCH_kernels.json")
-        assert seed.kernels is False
-        assert kernels.kernels is True
-        assert seed.fingerprint == kernels.fingerprint
-        assert seed.wall["total_s"] > 0 and kernels.wall["total_s"] > 0
+        first = RunRecord.load(tmp_path / "BENCH_first.json")
+        second = RunRecord.load(tmp_path / "BENCH_second.json")
+        assert first.fingerprint == second.fingerprint
+        assert first.wall["total_s"] > 0 and second.wall["total_s"] > 0
 
     def test_leaderboard_over_recorded_pair(self, tmp_path, monkeypatch,
                                             capsys):
         monkeypatch.chdir(tmp_path)
         base = ["bench", "--scale", str(SCALE), "--tests", "test4",
                 "--no-figures"]
-        assert main(base + ["--record", "--label", "seed",
-                            "--tuple-path"]) == 0
-        assert main(base + ["--record", "--label", "kernels"]) == 0
+        assert main(base + ["--record", "--label", "first"]) == 0
+        assert main(base + ["--record", "--label", "second"]) == 0
         capsys.readouterr()
         assert main(["bench", "--leaderboard"]) == 0
         out = capsys.readouterr().out
-        assert "BENCH_kernels.json" in out and "BENCH_seed.json" in out
-        assert "| kernels |" in out and "| tuple |" in out
+        assert "BENCH_first.json" in out and "BENCH_second.json" in out

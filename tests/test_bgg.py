@@ -7,7 +7,7 @@ import pytest
 from repro.core.optimizer.bgg import BGGOptimizer
 from repro.core.optimizer.etplg import ETPLGOptimizer
 from repro.core.optimizer.gg import GGOptimizer
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.workload.paper_queries import PAPER_TESTS, paper_queries
 
 from helpers import make_tiny_db, random_query

@@ -222,9 +222,8 @@ def test_fingerprint_profile_key_only_when_loaded():
 
 def test_profiled_and_unprofiled_records_cannot_gate_each_other():
     """Regression test for the fingerprint bugfix: identical-looking runs
-    recorded under default vs fitted rates must be INCOMPARABLE, exactly
-    like the kernels flag made different execution paths comparable only
-    when the costs genuinely match."""
+    recorded under default vs fitted rates must be INCOMPARABLE: their
+    simulated costs are priced differently."""
     db = make_tiny_db(n_rows=200)
     unprofiled = RunRecord(
         label="a",

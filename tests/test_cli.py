@@ -204,7 +204,7 @@ class TestBenchUsageErrors:
 
 
 class TestBenchLeaderboard:
-    def make_record_file(self, directory, name, kernels, total_s):
+    def make_record_file(self, directory, name, total_s):
         from repro.bench.history import RunRecord
 
         RunRecord(
@@ -214,32 +214,31 @@ class TestBenchLeaderboard:
             tests={"test4": [
                 {"algorithm": "gg", "sim_ms": 10.0, "est_ms": 10.0},
             ]},
-            kernels=kernels,
             wall={"total_s": total_s},
         ).save(directory / f"BENCH_{name}.json")
 
     def test_leaderboard_renders_markdown(self, tmp_path, capsys):
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
-        self.make_record_file(tmp_path, "seed", False, 4.0)
+        self.make_record_file(tmp_path, "fast", 1.0)
+        self.make_record_file(tmp_path, "slow", 4.0)
         assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("| record | path |")
-        assert out.index("BENCH_kernels.json") < out.index("BENCH_seed.json")
+        assert out.startswith("| record | profile |")
+        assert out.index("BENCH_fast.json") < out.index("BENCH_slow.json")
 
     def test_leaderboard_writes_output_file(self, tmp_path, capsys):
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
+        self.make_record_file(tmp_path, "fast", 1.0)
         target = tmp_path / "board.md"
         assert main([
             "bench", "--leaderboard", "--dir", str(tmp_path),
             "--output", str(target),
         ]) == 0
         assert "leaderboard" in capsys.readouterr().out
-        assert target.read_text().startswith("| record | path |")
+        assert target.read_text().startswith("| record | profile |")
 
     def test_leaderboard_corrupt_record_exits_2(self, tmp_path, capsys):
         """Regression: a corrupt BENCH file used to traceback; it must be
         a usage error naming the offending file."""
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
+        self.make_record_file(tmp_path, "fast", 1.0)
         (tmp_path / "BENCH_rotten.json").write_text("{broken json")
         assert main(["bench", "--leaderboard", "--dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -249,9 +248,9 @@ class TestBenchLeaderboard:
     def test_leaderboard_drifted_record_exits_2(self, tmp_path, capsys):
         import json
 
-        self.make_record_file(tmp_path, "kernels", True, 1.0)
+        self.make_record_file(tmp_path, "fast", 1.0)
         drifted = json.loads(
-            (tmp_path / "BENCH_kernels.json").read_text()
+            (tmp_path / "BENCH_fast.json").read_text()
         )
         drifted["wall"] = {"total_s": "not-a-number"}
         (tmp_path / "BENCH_drift.json").write_text(json.dumps(drifted))
@@ -259,22 +258,6 @@ class TestBenchLeaderboard:
         err = capsys.readouterr().err
         assert "BENCH_drift.json" in err
         assert "wall.total_s" in err
-
-
-class TestTuplePathFlag:
-    def test_tuple_path_runs_identically(self, capsys):
-        import re
-
-        def normalized(text):
-            # Wall clock is the one legitimate difference between paths.
-            return re.sub(r"wall [\d.]+ ms", "wall - ms", text)
-
-        mdx = "{A''.A1.CHILDREN} on COLUMNS CONTEXT ABCD FILTER (D.DD1)"
-        assert main(["run", *SCALE, mdx]) == 0
-        kernel_out = capsys.readouterr().out
-        assert main(["run", *SCALE, "--tuple-path", mdx]) == 0
-        tuple_out = capsys.readouterr().out
-        assert normalized(kernel_out) == normalized(tuple_out)
 
 
 class TestProfileFlag:
@@ -345,6 +328,30 @@ class TestProfileFlag:
         # The profile re-prices the cost clock (2x per sequential page),
         # so the simulated times genuinely move.
         assert normalized(default_out) != normalized(profiled_out)
+
+    def test_profile_applies_to_saved_database(self, tmp_path, capsys):
+        """Regression: `run --database DIR --profile FILE` loaded the saved
+        database and silently ignored the profile."""
+        import re
+
+        def sim_line(text):
+            return re.search(r"sim [\d.]+ ms \(io [\d.]+ \+ cpu [\d.]+\)",
+                             text).group(0)
+
+        mdx = "{A''.A1.CHILDREN} on COLUMNS CONTEXT ABCD FILTER (D.DD1)"
+        path = self.make_profile_file(tmp_path)
+        saved = tmp_path / "saved"
+        assert main(["info", *SCALE, "--save", str(saved)]) == 0
+        capsys.readouterr()
+        assert main(["run", *SCALE, "--profile", str(path), mdx]) == 0
+        built_out = capsys.readouterr().out
+        assert main(["run", "--database", str(saved),
+                     "--profile", str(path), mdx]) == 0
+        loaded_out = capsys.readouterr().out
+        assert main(["run", "--database", str(saved), mdx]) == 0
+        unprofiled_out = capsys.readouterr().out
+        assert sim_line(loaded_out) == sim_line(built_out)
+        assert sim_line(loaded_out) != sim_line(unprofiled_out)
 
     def test_calibrate_report_without_fit_exits_2(self, capsys):
         assert main(["calibrate", "--report", *SCALE]) == 2

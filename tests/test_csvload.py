@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.csvload import CsvLoadError, load_csv, rows_from_csv
 from repro.engine.database import Database
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import GroupBy, GroupByQuery
 
 from conftest import make_tiny_schema

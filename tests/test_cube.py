@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.cube import build_cube, plan_cube_build
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.lattice import lattice_size
 from repro.schema.query import GroupBy, GroupByQuery
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.optimizer.dp import MAX_QUERIES, DPOptimalOptimizer
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import GroupBy, GroupByQuery
 from repro.workload.paper_queries import PAPER_TESTS
 

@@ -7,7 +7,7 @@ from repro.engine.materialize import (
     compute_groupby_rows,
     pick_materialization_source,
 )
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import GroupBy, GroupByQuery
 from repro.workload.generator import generate_fact_rows
 

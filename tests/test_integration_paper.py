@@ -10,7 +10,7 @@ from repro.bench.harness import (
     run_test2_shared_index,
     run_test3_hybrid,
 )
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.engine.maintenance import MaintenanceError, append_rows
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.core.operators.hash_join import HashStarJoin
 from repro.core.operators.index_join import IndexStarJoin
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.navigate import NavigationError, drill_down, roll_up, slice_member
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db

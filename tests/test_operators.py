@@ -15,7 +15,7 @@ from repro.core.operators.index_join import (
     usable_index,
 )
 from repro.core.operators.pipeline import QueryPipeline, RollupCache
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db, random_query

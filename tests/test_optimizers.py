@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.optimizer import OPTIMIZERS, make_optimizer
 from repro.core.optimizer.optimal import MAX_ASSIGNMENTS, ExhaustiveOptimizer
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
 from helpers import make_tiny_db, random_query

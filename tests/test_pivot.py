@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.mdx.pivot import evaluate_pivot
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.engine.cube import build_cube
 from repro.engine.database import Database
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.schema.query import Aggregate, GroupBy, GroupByQuery
 from repro.workload.generator import generate_fact_rows
 

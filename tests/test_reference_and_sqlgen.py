@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.engine.sqlgen import level_column, to_sql
 from repro.schema.query import Aggregate, DimPredicate, GroupBy, GroupByQuery
 

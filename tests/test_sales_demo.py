@@ -7,7 +7,7 @@ shapes that flush out off-by-one errors in level arithmetic.
 
 import pytest
 
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.mdx import translate_mdx
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 from repro.workload.sales_demo import build_sales_database, build_sales_schema

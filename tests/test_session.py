@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.reference import evaluate_reference
+from repro.check import evaluate_reference
 from repro.engine.session import QuerySession, query_key
 from repro.schema.query import DimPredicate, GroupBy, GroupByQuery
 
