@@ -8,78 +8,119 @@ fact rows to the base table propagates, without recomputation, into
 * every materialized group-by whose aggregate is insert-maintainable
   (SUM/COUNT/MIN/MAX all are — deletes would break MIN/MAX, and this
   engine's OLAP workload is append-only),
-* every join index on the base table (new row positions are added to the
-  affected members' bitmaps / RID lists).
+* every join index on the base table and on the views (new row positions
+  are added to the affected members' bitmaps / RID lists).
 
-Views are *not* kept sorted under maintenance: appended groups land at the
-tail, so a maintained view loses the page-locality guarantee of a freshly
-built one.  The catalog's ``clustered`` flag is cleared accordingly, and the
-cost model stops assuming locality for it — exactly what a real system's
+Each view carries a compact **group index**: its groups' mixed-radix codes,
+sorted, next to their row positions — two ``int64`` arrays, 16 bytes per
+group (see :func:`_group_index`).  An append folds the new rows into one
+per-view delta column-wise, finds the delta's groups with one
+``np.searchsorted``, updates existing groups in their slots, appends new
+groups at the tail and splices their codes in with ``np.insert``.
+
+Maintenance never moves a row: an updated group keeps its position and
+key, so a view's join indexes are extended with only the appended groups,
+the same way the base table's are.  Appended groups land at the tail, so a
+maintained view does lose the page-locality guarantee of a freshly built
+one.  The catalog's ``clustered`` flag is cleared accordingly, and the cost
+model stops assuming locality for it — exactly what a real system's
 statistics would do.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from ..schema.query import Aggregate
 from ..storage.catalog import TableEntry
 from ..storage.page import Row
+from .materialize import group_code_strides, group_codes
 
 
 class MaintenanceError(RuntimeError):
     """A view or index cannot be incrementally maintained."""
 
 
+def _group_index(
+    entry: TableEntry, strides: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A view's ``(sorted group codes, row positions)``.
+
+    Built from the pages' cached columns on first use, and again whenever
+    it no longer covers every row of the table.
+    """
+    index = entry._group_index  # noqa: SLF001 - engine-internal state
+    if index is not None and index[0].size == entry.table.n_rows:
+        return index
+    n_dims = len(entry.levels)
+    codes = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [
+            group_codes(page.columns(n_dims)[0], strides)
+            for page in entry.table._pages  # noqa: SLF001 - engine-internal
+        ]
+    )
+    order = np.argsort(codes, kind="stable")
+    index = (codes[order], order.astype(np.int64))
+    entry._group_index = index  # noqa: SLF001
+    return index
+
+
 def _fold_delta(
     aggregate: Aggregate,
-    groups: Dict[Tuple[int, ...], float],
-    key: Tuple[int, ...],
-    value: float,
-) -> None:
+    keys: List[np.ndarray],
+    strides: np.ndarray,
+    measures: np.ndarray,
+) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+    """Fold the new rows' measures per group, in row order (so SUMs are
+    bit-identical to a sequential fold).  Returns the groups' sorted codes,
+    their key columns and their folded values."""
+    uniq, first, inverse = np.unique(
+        group_codes(keys, strides), return_index=True, return_inverse=True
+    )
     if aggregate is Aggregate.SUM:
-        groups[key] = groups.get(key, 0.0) + value
+        values = np.bincount(inverse, weights=measures, minlength=uniq.size)
     elif aggregate is Aggregate.COUNT:
-        groups[key] = groups.get(key, 0.0) + 1.0
-    elif aggregate is Aggregate.MIN:
-        groups[key] = min(groups.get(key, value), value)
-    elif aggregate is Aggregate.MAX:
-        groups[key] = max(groups.get(key, value), value)
-    else:  # pragma: no cover - Aggregate is a closed enum
-        raise NotImplementedError(aggregate)
+        values = np.bincount(inverse, minlength=uniq.size).astype(np.float64)
+    elif aggregate in (Aggregate.MIN, Aggregate.MAX):
+        ufunc = np.minimum if aggregate is Aggregate.MIN else np.maximum
+        values = measures[first]
+        ufunc.at(values, inverse, measures)
+    else:
+        raise MaintenanceError(
+            f"{aggregate.value.upper()} views are not insert-maintainable"
+        )
+    return uniq, [column[first] for column in keys], values
 
 
 def _merge_into_view(
-    view: TableEntry,
-    delta: Dict[Tuple[int, ...], float],
+    entry: TableEntry,
     aggregate: Aggregate,
-) -> int:
-    """Merge a per-group delta into a view's heap table in place.
+    strides: np.ndarray,
+    codes: np.ndarray,
+    keys: List[np.ndarray],
+    values: np.ndarray,
+) -> List[np.ndarray]:
+    """Merge a per-group delta (sorted distinct ``codes``, their ``keys``
+    columns and folded ``values``) into a view's heap table in place.
 
-    Existing groups are updated in their slots; new groups are appended.
-    Returns the number of groups appended.
+    Existing groups are updated in their slots; new groups are appended in
+    code order.  Returns the appended groups' key columns.
     """
-    n_dims = len(view.levels)
-    # Locate existing groups.  A real system would use the view's primary
-    # index; here we build a transient key → (page, slot) map.
-    positions: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for page in view.table._pages:  # noqa: SLF001 - engine-internal access
-        for slot, row in enumerate(page.rows):
-            positions[tuple(int(v) for v in row[:n_dims])] = (
-                page.page_no,
-                slot,
-            )
-    appended = 0
-    for key, value in sorted(delta.items()):
-        found = positions.get(key)
-        if found is None:
-            view.table.append(key + (value,))
-            appended += 1
-            continue
-        page_no, slot = found
-        row = view.table._pages[page_no].rows[slot]  # noqa: SLF001
+    view_codes, positions = _group_index(entry, strides)
+    slots = np.searchsorted(view_codes, codes)
+    found = slots < view_codes.size
+    found[found] = view_codes[slots[found]] == codes[found]
+    table = entry.table
+    n_dims = len(entry.levels)
+    for position, value in zip(
+        positions[slots[found]].tolist(), values[found].tolist()
+    ):
+        page_no, slot = divmod(position, table.capacity)
+        page = table._pages[page_no]  # noqa: SLF001 - engine-internal access
+        row = page.rows[slot]
         current = float(row[n_dims])
         if aggregate in (Aggregate.SUM, Aggregate.COUNT):
             merged = current + value
@@ -88,8 +129,32 @@ def _merge_into_view(
         else:
             merged = max(current, value)
         # Page.update also drops the page's cached columnar view.
-        view.table._pages[page_no].update(slot, key + (merged,))  # noqa: SLF001
-    return appended
+        page.update(slot, row[:n_dims] + (merged,))
+    new = ~found
+    new_keys = [column[new] for column in keys]
+    first_position = table.n_rows
+    table.extend(
+        zip(*(column.tolist() for column in new_keys), values[new].tolist())
+    )
+    new_positions = np.arange(first_position, table.n_rows, dtype=np.int64)
+    entry._group_index = (  # noqa: SLF001
+        np.insert(view_codes, slots[new], codes[new]),
+        np.insert(positions, slots[new], new_positions),
+    )
+    return new_keys
+
+
+def _extend_indexes(
+    schema, entry: TableEntry, keys: List[np.ndarray], first_position: int
+) -> None:
+    """Extend every join index on ``entry`` with the rows appended at
+    ``first_position``, whose key columns (at the table's stored levels)
+    are ``keys``."""
+    for (dim_index, level), index in entry.indexes.items():
+        rollup = schema.dimensions[dim_index].rollup_map(
+            entry.levels[dim_index], level
+        )
+        _maintain_index(index, rollup[keys[dim_index]], first_position)
 
 
 def append_rows(
@@ -100,7 +165,8 @@ def append_rows(
 
     Returns ``{table name: groups appended}`` (0 for updated-in-place-only
     views; the base table reports the row count).  Maintenance is offline
-    work and is not charged to the query cost clock.
+    work and is not charged to the query cost clock.  Traced under a
+    ``maintenance.append`` span on ``db.tracer``.
     """
     schema = db.schema
     if base_name is None:
@@ -130,45 +196,54 @@ def append_rows(
             raise ValueError(
                 f"fact rows need {n_dims + 1} fields, got {len(row)}"
             )
+    matrix = np.asarray([row[:n_dims] for row in rows], dtype=np.int64)
+    base_keys = [matrix[:, d] for d in range(n_dims)]
+    measures = np.asarray([row[n_dims] for row in rows], dtype=np.float64)
+    # Out-of-range keys would silently wrap in the rollup gathers below.
+    for dim, level, column in zip(schema.dimensions, base.levels, base_keys):
+        bad = column[(column < 0) | (column >= dim.n_members(level))]
+        if bad.size:
+            raise ValueError(
+                f"key {int(bad[0])} out of range for dimension {dim.name!r} "
+                f"(0..{dim.n_members(level) - 1})"
+            )
+    views = [
+        (entry, group_code_strides(schema, entry.levels))
+        for entry in db.catalog.entries()
+        if not entry.is_raw
+    ]
     first_position = base.table.n_rows
 
-    # 1. Append to the base table, remembering each new row's position.
-    for row in rows:
-        base.table.append(row)
+    tracer = db.tracer
+    with tracer.span("maintenance.append", rows=len(rows)) as span:
+        # 1. Append to the base table.
+        with tracer.span("maintenance.base"):
+            base.table.extend(rows)
 
-    # 2. Maintain the base table's join indexes.
-    for (dim_index, level), index in base.indexes.items():
-        _maintain_index(schema, index, dim_index, level, rows, first_position)
+        # 2. Maintain the base table's join indexes.
+        with tracer.span("maintenance.base_indexes"):
+            _extend_indexes(schema, base, base_keys, first_position)
 
-    # 3. Propagate a per-view delta into every materialized group-by.
-    for entry in db.catalog.entries():
-        if entry.is_raw:
-            continue
-        aggregate = Aggregate(entry.source_aggregate)
-        delta: Dict[Tuple[int, ...], float] = {}
-        rollups = [
-            dim.rollup_map(0, level) if level not in (0, dim.all_level) else None
-            for dim, level in zip(schema.dimensions, entry.levels)
-        ]
-        for row in rows:
-            key: List[int] = []
-            for d, (dim, level) in enumerate(
-                zip(schema.dimensions, entry.levels)
-            ):
-                if level == dim.all_level:
-                    key.append(0)
-                elif level == 0:
-                    key.append(int(row[d]))
-                else:
-                    key.append(int(rollups[d][int(row[d])]))
-            _fold_delta(aggregate, delta, tuple(key), float(row[n_dims]))
-        appended = _merge_into_view(entry, delta, aggregate)
-        report[entry.name] = appended
-        if appended:
-            # Appended groups break the sorted invariant.
-            entry.clustered = False
-        if entry.indexes:
-            _rebuild_view_indexes(db, entry)
+        # 3. Propagate a per-view delta into every materialized group-by.
+        with tracer.span("maintenance.views"):
+            for entry, strides in views:
+                aggregate = Aggregate(entry.source_aggregate)
+                keys = [
+                    dim.rollup_map(from_level, level)[column]
+                    for dim, from_level, level, column in zip(
+                        schema.dimensions, base.levels, entry.levels, base_keys
+                    )
+                ]
+                delta = _fold_delta(aggregate, keys, strides, measures)
+                view_first = entry.table.n_rows
+                new_keys = _merge_into_view(entry, aggregate, strides, *delta)
+                appended = entry.table.n_rows - view_first
+                report[entry.name] = appended
+                if appended:
+                    # Appended groups break the sorted invariant.
+                    entry.clustered = False
+                    _extend_indexes(schema, entry, new_keys, view_first)
+        span.set("view_groups", sum(report.values()))
 
     report[base_name] = len(rows)
     # Answers have changed: bump the mutation epoch so semantic result
@@ -178,74 +253,49 @@ def append_rows(
     return report
 
 
-def _maintain_index(schema, index, dim_index: int, level: int, rows, first_position: int) -> None:
-    """Extend a base-table join index with the new rows."""
-    from ..index.bitmap import Bitmap
+def _maintain_index(index, members: np.ndarray, first_position: int) -> None:
+    """Extend a join index with rows appended at ``first_position``, whose
+    keys roll up to ``members`` at the index's level."""
+    from ..index.bitmap import WORD_BITS, Bitmap
     from ..index.bitmap_index import BitmapJoinIndex
     from ..index.btree import PositionListJoinIndex
 
-    dim = schema.dimensions[dim_index]
-    rollup = dim.rollup_map(0, level) if level else None
-    new_total = first_position + len(rows)
+    new_total = first_position + members.size
+    positions = np.arange(first_position, new_total, dtype=np.int64)
+    distinct, rank = np.unique(members, return_inverse=True)
     if isinstance(index, BitmapJoinIndex):
-        # Grow every existing bitmap, then set the new bits.
-        for member, bitmap in list(index._bitmaps.items()):  # noqa: SLF001
-            grown = Bitmap.zeros(new_total)
-            grown.words[: bitmap.n_words] = bitmap.words
-            index._bitmaps[member] = grown  # noqa: SLF001
-        index.n_rows = new_total
-        for offset, row in enumerate(rows):
-            key = int(row[dim_index])
-            member = int(rollup[key]) if rollup is not None else key
-            bitmap = index._bitmaps.get(member)  # noqa: SLF001
+        bitmaps = index._bitmaps  # noqa: SLF001 - engine-internal access
+        # The new bits all fall in the words from ``low`` on: OR them up
+        # per member in one pass, then grow every bitmap and OR its tail.
+        low = first_position // WORD_BITS
+        tails = np.zeros(
+            (distinct.size, (new_total + WORD_BITS - 1) // WORD_BITS - low),
+            dtype=np.uint64,
+        )
+        np.bitwise_or.at(
+            tails,
+            (rank, positions // WORD_BITS - low),
+            np.uint64(1) << (positions % WORD_BITS).astype(np.uint64),
+        )
+        for member, bitmap in list(bitmaps.items()):
+            bitmaps[member] = bitmap.grown(new_total)
+        for member, tail in zip(distinct.tolist(), tails):
+            bitmap = bitmaps.get(member)
             if bitmap is None:
-                bitmap = Bitmap.zeros(new_total)
-                index._bitmaps[member] = bitmap  # noqa: SLF001
-            bitmap.set(first_position + offset)
+                bitmap = bitmaps[member] = Bitmap.zeros(new_total)
+            bitmap.words[low:] |= tail
     elif isinstance(index, PositionListJoinIndex):
-        additions: Dict[int, List[int]] = {}
-        for offset, row in enumerate(rows):
-            key = int(row[dim_index])
-            member = int(rollup[key]) if rollup is not None else key
-            additions.setdefault(member, []).append(first_position + offset)
-        for member, positions in additions.items():
-            existing = index._rid_lists.get(member)  # noqa: SLF001
-            new = np.asarray(positions, dtype=np.int64)
-            if existing is None:
-                index._rid_lists[member] = new  # noqa: SLF001
-            else:
-                index._rid_lists[member] = np.concatenate(  # noqa: SLF001
-                    [existing, new]
-                )
-        index.n_rows = new_total
+        rid_lists = index._rid_lists  # noqa: SLF001 - engine-internal access
+        # Positions grouped by member, ascending within each group.
+        grouped = np.split(
+            positions[np.argsort(rank, kind="stable")],
+            np.cumsum(np.bincount(rank))[:-1],
+        )
+        for member, new in zip(distinct.tolist(), grouped):
+            existing = rid_lists.get(member)
+            rid_lists[member] = (
+                new if existing is None else np.concatenate([existing, new])
+            )
     else:  # pragma: no cover - the two kinds above are the catalog's
         raise MaintenanceError(f"cannot maintain index type {type(index)!r}")
-
-
-def _rebuild_view_indexes(db, entry: TableEntry) -> None:
-    """Views gain and reorder rows under maintenance; their indexes are
-    rebuilt from scratch (cheap: views are small)."""
-    from ..index.bitmap_index import BitmapJoinIndex
-    from ..index.btree import PositionListJoinIndex
-
-    schema = db.schema
-    rebuilt = {}
-    for (dim_index, level), old in entry.indexes.items():
-        dim = schema.dimensions[dim_index]
-        stored = entry.levels[dim_index]
-        builder = (
-            BitmapJoinIndex
-            if isinstance(old, BitmapJoinIndex)
-            else PositionListJoinIndex
-        )
-        rebuilt[(dim_index, level)] = builder.build(
-            entry.table,
-            entry.name,
-            dim_index,
-            level,
-            column_index=dim_index,
-            key_to_member=dim.rollup_map(stored, level),
-            n_members=dim.n_members(level),
-        )
-    entry.indexes.clear()
-    entry.indexes.update(rebuilt)
+    index.n_rows = new_total

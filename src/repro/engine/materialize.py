@@ -22,6 +22,30 @@ from ..storage.catalog import TableEntry
 from ..storage.table import HeapTable
 
 
+def group_code_strides(
+    schema: StarSchema, levels: Sequence[int]
+) -> np.ndarray:
+    """Mixed-radix strides for group codes at ``levels``: each level's
+    member count is its radix (ALL counts as 1) and the first dimension is
+    the most significant, so code order is key-tuple order."""
+    sizes = [
+        dim.n_members(level) for dim, level in zip(schema.dimensions, levels)
+    ]
+    strides = [1]
+    for size in reversed(sizes[1:]):
+        strides.insert(0, strides[0] * size)
+    if strides[0] * sizes[0] > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"group codes at levels {tuple(levels)} overflow int64"
+        )
+    return np.asarray(strides, dtype=np.int64)
+
+
+def group_codes(keys: Sequence[np.ndarray], strides: np.ndarray) -> np.ndarray:
+    """Each row's group code, from its per-dimension key columns."""
+    return sum(column * stride for column, stride in zip(keys, strides))
+
+
 def compute_groupby_rows(
     schema: StarSchema,
     source: TableEntry,
@@ -74,10 +98,8 @@ def compute_groupby_rows(
             keys = dim.rollup_map(source.levels[d], target_levels[d])[keys]
         key_columns.append(keys)
         sizes.append(dim.n_members(target_levels[d]))
-    strides = np.ones(n_dims, dtype=np.int64)
-    for d in range(n_dims - 2, -1, -1):
-        strides[d] = strides[d + 1] * sizes[d + 1]
-    codes = sum(col * stride for col, stride in zip(key_columns, strides))
+    strides = group_code_strides(schema, target_levels)
+    codes = group_codes(key_columns, strides)
     uniq, inverse = np.unique(codes, return_inverse=True)
     if fold is Aggregate.SUM:
         folded = np.bincount(inverse, weights=measures, minlength=uniq.size)

@@ -102,6 +102,14 @@ class Bitmap:
         else:
             self.words[word] &= ~(np.uint64(1) << np.uint64(offset))
 
+    def grown(self, n_bits: int) -> "Bitmap":
+        """A copy lengthened to ``n_bits`` with the new bits clear."""
+        if n_bits < self.n_bits:
+            raise ValueError(f"cannot shrink a {self.n_bits}-bit bitmap")
+        words = np.zeros(_n_words(n_bits), dtype=np.uint64)
+        words[: self.words.size] = self.words
+        return Bitmap(n_bits, words)
+
     # -- algebra ---------------------------------------------------------------
 
     def _check_compatible(self, other: "Bitmap") -> None:

@@ -79,10 +79,6 @@ class BitmapJoinIndex(JoinIndex):
     ):
         super().__init__(table_name, dim_index, level, n_rows)
         self._bitmaps = bitmaps
-        payload_bytes = (n_rows + 7) // 8
-        self._pages_per_bitmap = max(
-            1, (payload_bytes + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES
-        )
 
     @classmethod
     def build(
@@ -117,6 +113,14 @@ class BitmapJoinIndex(JoinIndex):
     def n_members(self) -> int:
         """Number of members at the given level."""
         return len(self._bitmaps)
+
+    @property
+    def _pages_per_bitmap(self) -> int:
+        # Derived from n_rows on every use: maintenance grows the index.
+        payload_bytes = (self.n_rows + 7) // 8
+        return max(
+            1, (payload_bytes + INDEX_PAGE_BYTES - 1) // INDEX_PAGE_BYTES
+        )
 
     @property
     def n_pages(self) -> int:

@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 from .table import HeapTable
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from ..index.bitmap_index import JoinIndex
 
 
@@ -40,6 +42,13 @@ class TableEntry:
     #: re-aggregates over it (SUM→SUM, MIN→MIN, MAX→MAX, COUNT→sum of
     #: counts).
     source_aggregate: str | None = None
+    #: Incremental maintenance's group index for a view: its groups'
+    #: sorted mixed-radix codes and their row positions (two ``int64``
+    #: arrays), or None until the first append builds it (see
+    #: :mod:`repro.engine.maintenance`).
+    _group_index: Optional[Tuple["np.ndarray", "np.ndarray"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def is_raw(self) -> bool:

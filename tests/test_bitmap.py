@@ -151,6 +151,15 @@ class TestConversions:
     def test_count_matches_positions(self, a):
         assert a.count() == a.positions().size
 
+    @given(bitmap_strategy(), st.integers(min_value=0, max_value=150))
+    @settings(max_examples=60, deadline=None)
+    def test_grown_keeps_bits_and_clears_new_ones(self, a, extra):
+        grown = a.grown(a.n_bits + extra)
+        assert grown == Bitmap.from_positions(a.n_bits + extra, a.positions())
+        if a.n_bits:
+            with pytest.raises(ValueError):
+                a.grown(a.n_bits - 1)
+
     def test_from_bool_array_values(self):
         mask = np.zeros(100, dtype=bool)
         mask[[0, 63, 64, 99]] = True

@@ -56,6 +56,15 @@ class TestBaseAppend:
         with pytest.raises(ValueError):
             db.append_rows([(1, 2)])
 
+    def test_out_of_range_key_rejected_before_any_change(self):
+        db = fresh_db()
+        before = database_state(db)
+        with pytest.raises(ValueError, match="out of range"):
+            db.append_rows([(0, 0, 1.0), (12, 0, 1.0)])
+        with pytest.raises(ValueError, match="out of range"):
+            db.append_rows([(-1, 0, 1.0)])
+        assert database_state(db) == before
+
     def test_append_to_view_rejected(self):
         db = fresh_db()
         with pytest.raises(MaintenanceError):
@@ -170,7 +179,7 @@ class TestIndexMaintenance:
         )
         assert via_index.approx_equals(expected)
 
-    def test_view_indexes_rebuilt(self):
+    def test_view_indexes_extended(self):
         db = fresh_db()
         db.append_rows(new_rows(db, 120, seed=41))
         view = db.catalog.get("X'Y")
@@ -185,6 +194,31 @@ class TestIndexMaintenance:
         )
         assert via_view_index.approx_equals(expected)
         assert view.index_for(0, 1).n_rows == view.n_rows
+
+    def test_bitmap_page_count_follows_appended_rows(self):
+        """A bitmap's page count grows with the table (regression: it was
+        fixed at build time, so past 65,536 rows — one 8 KB page of bits —
+        a maintained index under-charged every lookup)."""
+        from repro.engine.database import Database
+        from repro.index.bitmap_index import BitmapJoinIndex
+
+        from conftest import make_tiny_schema
+
+        db = Database(make_tiny_schema())
+        db.load_base([(i % 12, i % 8, 1.0) for i in range(65_530)])
+        index = db.create_bitmap_index("XY", "X")
+        assert (index.n_pages, index.pages_per_lookup(1)) == (12, 1)
+        db.append_rows([(i % 12, 0, 1.0) for i in range(10)])
+        base = db.catalog.get("XY")
+        rebuilt = BitmapJoinIndex.build(
+            base.table, "XY", 0, 0, column_index=0,
+            key_to_member=db.schema.dimensions[0].rollup_map(0, 0),
+            n_members=12,
+        )
+        assert (index.n_pages, index.pages_per_lookup(1)) == (24, 2)
+        assert (index.n_pages, index.pages_per_lookup(1)) == (
+            rebuilt.n_pages, rebuilt.pages_per_lookup(1)
+        )
 
 
 class TestEndToEndAfterAppends:
@@ -221,3 +255,285 @@ class TestEndToEndAfterAppends:
             db.schema, base.table.all_rows(), query, base.levels
         )
         assert via_view.approx_equals(expected)
+
+
+# -- differential: the group-index path vs. the full-rescan algorithm -------
+
+
+def _reference_fold(aggregate, groups, key, value):
+    if aggregate is Aggregate.SUM:
+        groups[key] = groups.get(key, 0.0) + value
+    elif aggregate is Aggregate.COUNT:
+        groups[key] = groups.get(key, 0.0) + 1.0
+    elif aggregate is Aggregate.MIN:
+        groups[key] = min(groups.get(key, value), value)
+    else:
+        groups[key] = max(groups.get(key, value), value)
+
+
+def _reference_merge(view, delta, aggregate):
+    """Merge a delta through a key → (page, slot) map over every view row;
+    returns (groups appended, groups updated in place)."""
+    n_dims = len(view.levels)
+    positions = {}
+    for page in view.table._pages:
+        for slot, row in enumerate(page.rows):
+            key = tuple(int(v) for v in row[:n_dims])
+            positions[key] = (page.page_no, slot)
+    appended = updated = 0
+    for key, value in sorted(delta.items()):
+        found = positions.get(key)
+        if found is None:
+            view.table.append(key + (value,))
+            appended += 1
+            continue
+        page = view.table._pages[found[0]]
+        current = float(page.rows[found[1]][n_dims])
+        if aggregate in (Aggregate.SUM, Aggregate.COUNT):
+            merged = current + value
+        elif aggregate is Aggregate.MIN:
+            merged = min(current, value)
+        else:
+            merged = max(current, value)
+        page.update(found[1], key + (merged,))
+        updated += 1
+    return appended, updated
+
+
+def _rebuilt_index(db, entry, key, index):
+    dim_index, level = key
+    dim = db.schema.dimensions[dim_index]
+    return type(index).build(
+        entry.table, entry.name, dim_index, level, column_index=dim_index,
+        key_to_member=dim.rollup_map(entry.levels[dim_index], level),
+        n_members=dim.n_members(level),
+    )
+
+
+def reference_append(db, rows):
+    """The rescan algorithm: per-row delta fold, full-dict merge, and every
+    index rebuilt from scratch.  Returns {view: (appended, updated)}."""
+    base = db.catalog.get("XY")
+    base.table.extend(rows)
+    counts = {}
+    for entry in db.catalog.entries():
+        if not entry.is_raw:
+            aggregate = Aggregate(entry.source_aggregate)
+            delta = {}
+            for row in rows:
+                key = tuple(
+                    int(dim.rollup_map(0, level)[row[d]])
+                    for d, (dim, level) in enumerate(
+                        zip(db.schema.dimensions, entry.levels)
+                    )
+                )
+                _reference_fold(aggregate, delta, key, float(row[-1]))
+            counts[entry.name] = _reference_merge(entry, delta, aggregate)
+            if counts[entry.name][0]:
+                entry.clustered = False
+        for key, index in list(entry.indexes.items()):
+            entry.indexes[key] = _rebuilt_index(db, entry, key, index)
+    return counts
+
+
+def index_state(index):
+    from repro.index.bitmap_index import BitmapJoinIndex
+
+    if isinstance(index, BitmapJoinIndex):
+        payload = {
+            member: (bitmap.n_bits, bitmap.words.tobytes())
+            for member, bitmap in index._bitmaps.items()
+        }
+    else:
+        payload = {
+            member: (str(rids.dtype), rids.tolist())
+            for member, rids in index._rid_lists.items()
+        }
+    return (
+        type(index).__name__, payload, index.n_rows, index.n_pages,
+        index.pages_per_lookup(1), index.pages_per_lookup(3),
+    )
+
+
+def database_state(db):
+    """Every table's rows in page order, clustered flag and index states."""
+    return {
+        entry.name: (
+            [list(page.rows) for page in entry.table._pages],
+            entry.clustered,
+            {key: index_state(index) for key, index in entry.indexes.items()},
+        )
+        for entry in db.catalog.entries()
+    }
+
+
+def differential_db(seed):
+    """Sparse views (40 base rows) of every maintainable aggregate, with
+    bitmap and btree indexes at stored and coarser levels."""
+    db = make_tiny_db(n_rows=40, seed=seed, index_tables=())
+    db.create_bitmap_index("XY", "X")
+    db.create_bitmap_index("XY", "X", level=1)
+    db.create_bitmap_index("XY", "Y", kind="btree")
+    db.materialize("X'Y")
+    db.create_bitmap_index("X'Y", "X", kind="btree")
+    db.create_bitmap_index("X'Y", "Y")
+    db.create_bitmap_index("X'Y", "Y", level=1, kind="btree")
+    for aggregate in (Aggregate.COUNT, Aggregate.MIN, Aggregate.MAX):
+        view = db.materialize("XY'", aggregate=aggregate)
+        db.create_bitmap_index(view.name, "X")
+        db.create_bitmap_index(view.name, "Y", kind="btree")
+    db.materialize("X''Y''")
+    return db
+
+
+class TestDifferentialAgainstRescan:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_rescan_algorithm(self, seed):
+        maintained, reference = differential_db(seed), differential_db(seed)
+        rng = random.Random(seed)
+        appended = updated = 0
+        for round_ in range(8):
+            n = rng.randint(1, 60)
+            rows = new_rows(maintained, n, seed=seed * 100 + round_)
+            report = append_rows(maintained, rows)
+            counts = reference_append(reference, rows)
+            for name, (n_appended, n_updated) in counts.items():
+                assert report[name] == n_appended
+                appended += n_appended
+                updated += n_updated
+            assert database_state(maintained) == database_state(reference)
+        # The sequence exercised both merge paths.
+        assert appended > 0 and updated > 0
+        # Every maintained index equals one built over the maintained table.
+        for entry in maintained.catalog.entries():
+            for key, index in entry.indexes.items():
+                assert index_state(index) == index_state(
+                    _rebuilt_index(maintained, entry, key, index)
+                )
+
+
+# -- the group index's lifecycle ----------------------------------------------
+
+
+def batches(db, seed, n=3):
+    return [new_rows(db, 30, seed=seed + i) for i in range(n)]
+
+
+def lifecycle_db(**kwargs):
+    return make_tiny_db(
+        n_rows=40, materialized=("X'Y", "XY'"), index_tables=("XY", "X'Y"),
+        **kwargs,
+    )
+
+
+def fresh_with(appends):
+    db = lifecycle_db()
+    for rows in appends:
+        db.append_rows(rows)
+    return db
+
+
+class TestGroupIndexLifecycle:
+    def test_group_index_tracks_view(self):
+        db = lifecycle_db()
+        for rows in batches(db, 5):
+            db.append_rows(rows)
+            for entry in db.catalog.entries():
+                if entry.is_raw:
+                    continue
+                codes, positions = entry._group_index
+                assert codes.size == positions.size == entry.n_rows
+                assert (codes[1:] > codes[:-1]).all()
+                assert sorted(positions.tolist()) == list(range(entry.n_rows))
+
+    def test_rebuilt_when_view_table_grew_behind_its_back(self):
+        db = lifecycle_db()
+        first, second = batches(db, 7, n=2)
+        db.append_rows(first)
+        view = db.catalog.get("XY'")
+        # A group added outside maintenance: the stale index is detected by
+        # its length and rebuilt rather than trusted.
+        missing = next(
+            (x, y) for x in range(12) for y in range(4)
+            if (x, y) not in view_as_dict(view)
+        )
+        view.table.append(missing + (0.0,))
+        db.append_rows(second)
+        assert view._group_index[0].size == view.n_rows
+        assert len(view_as_dict(view)) == view.n_rows
+
+    def test_persist_round_trip_then_append(self, tmp_path):
+        from repro.engine.persist import load_database, save_database
+
+        db = lifecycle_db()
+        first, second = batches(db, 11, n=2)
+        db.append_rows(first)
+        save_database(db, tmp_path / "db")
+        loaded = load_database(tmp_path / "db")
+        loaded.append_rows(second)
+        assert database_state(loaded) == database_state(
+            fresh_with([first, second])
+        )
+
+    def test_view_dropped_and_rematerialized(self):
+        db = lifecycle_db()
+        first, second = batches(db, 13, n=2)
+        db.append_rows(first)
+        db.catalog.drop("X'Y")
+        db.materialize("X'Y")
+        db.index_all_dimensions("X'Y")
+        db.append_rows(second)
+        # The fresh database never had a group index for the old view.
+        fresh = make_tiny_db(
+            n_rows=40, materialized=("XY'",), index_tables=("XY",)
+        )
+        fresh.append_rows(first)
+        fresh.materialize("X'Y")
+        fresh.index_all_dimensions("X'Y")
+        fresh.append_rows(second)
+        assert database_state(db) == database_state(fresh)
+
+    def test_direct_maintenance_call(self):
+        from repro.engine import maintenance
+        from repro.engine.result_cache import attach_cache
+
+        db = lifecycle_db()
+        attach_cache(db)
+        appends = batches(db, 17)
+        db.append_rows(appends[0])
+        maintenance.append_rows(db, appends[1])
+        db.append_rows(appends[2])
+        assert database_state(db) == database_state(fresh_with(appends))
+
+    def test_csv_append(self, tmp_path):
+        from repro.engine.csvload import load_csv
+
+        db = lifecycle_db()
+        first, second = batches(db, 19, n=2)
+        db.append_rows(first)
+        x, y = db.schema.dimensions
+        lines = ["X,Y,m"] + [
+            f"{x.member_name(0, a)},{y.member_name(0, b)},{m!r}"
+            for a, b, m in second
+        ]
+        path = tmp_path / "facts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_csv(db, path, append=True) == len(second)
+        assert database_state(db) == database_state(
+            fresh_with([first, second])
+        )
+
+
+class TestMaintenanceTracing:
+    def test_append_spans(self):
+        db = lifecycle_db()
+        rows = new_rows(db, 30, seed=23)
+        with db.trace():
+            report = db.append_rows(rows)
+        span = db.last_trace.find("maintenance.append")
+        assert span is not None
+        assert [child.name for child in span.children] == [
+            "maintenance.base", "maintenance.base_indexes", "maintenance.views"
+        ]
+        assert span.attrs["rows"] == 30
+        assert span.attrs["view_groups"] == report["X'Y"] + report["XY'"]
