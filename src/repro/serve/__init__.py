@@ -3,10 +3,11 @@ micro-batching.
 
 The paper optimizes the component queries of one MDX expression together;
 this package extends that sharing across *sessions*: concurrent requests
-that arrive within a batching window are coalesced into one global plan
-(duplicates collapse, cached queries bypass planning), the merged plan's
-independent classes execute in parallel on isolated cold contexts, and
-results fan back out to each caller's future.
+queued together (or arriving within an optional batching window) are
+coalesced into one global plan (duplicates collapse, cached queries
+bypass planning), the merged plan's independent classes execute in
+parallel on isolated cold contexts, and results fan back out to each
+caller's future.
 
 Entry points:
 

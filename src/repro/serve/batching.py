@@ -1,9 +1,10 @@
 """Micro-batching policy: configuration, admitted requests, and batch
 assembly.
 
-The scheduler coalesces every request that arrives inside one *batching
-window* into a single :class:`MicroBatch`.  Assembly is where the paper's
-multi-query sharing is manufactured across sessions:
+The scheduler coalesces the requests already queued when it picks up a
+batch, plus any that arrive inside an optional *batching window*, into a
+single :class:`MicroBatch`.  Assembly is where the paper's multi-query
+sharing is manufactured across sessions:
 
 * the union of all requests' component queries is deduplicated by semantic
   identity (:func:`repro.engine.session.query_key`) — each distinct query
@@ -11,10 +12,12 @@ multi-query sharing is manufactured across sessions:
 * a membership map records which requests asked for which distinct query,
   so results fan back out after execution.
 
-The window is the throughput/latency dial (see ``docs/serving.md``): a
-wider window coalesces more concurrent work into one global plan (more
-shared scans, fewer duplicate evaluations) but adds up to that much
-latency to the earliest request in the batch.
+Because the backlog is always drained, batch size grows with load by
+itself.  The window only adds sharing when requests trickle in slower
+than batches execute (see ``docs/serving.md``): a wider window coalesces
+more of them into one global plan (more shared scans, fewer duplicate
+evaluations) but adds up to that much latency to the earliest request in
+the batch.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ from .futures import ServeFuture
 class ServeConfig:
     """Tunables of one :class:`~repro.serve.service.QueryService`.
 
-    ``window_ms`` — how long the scheduler keeps collecting after the
-    first request of a batch arrives.  ``max_batch_requests`` closes the
-    window early once that many requests are aboard.  ``max_queue_depth``
-    bounds the admission queue; submits beyond it are rejected with
+    ``window_ms`` — how long after the first request of a batch was
+    submitted the scheduler keeps the batch open for more arrivals.  The
+    requests already queued join the batch regardless, so the default of
+    0 answers an idle server at once and lets a busy one coalesce its
+    backlog.  ``max_batch_requests`` caps the batch, backlog included.
+    ``max_queue_depth`` bounds the admission queue; submits beyond it are rejected with
     :class:`~repro.serve.futures.AdmissionError`.  ``n_workers`` sizes the
     thread pool that runs the merged plan's independent classes.
     ``default_deadline_ms`` (None = no deadline) applies to requests that
@@ -64,7 +69,7 @@ class ServeConfig:
     fails wholesale (None = dump only on demand).
     """
 
-    window_ms: float = 10.0
+    window_ms: float = 0.0
     max_batch_requests: int = 64
     max_queue_depth: int = 256
     n_workers: int = 4
@@ -166,6 +171,9 @@ class MicroBatch:
     #: Monotonic time the scheduler picked the batch up (the baseline the
     #: per-request ``queued`` stage is measured against).
     started_s: float = 0.0
+    #: Wall ms the scheduler held the batch open for more arrivals after
+    #: draining the backlog (0 when the backlog alone made the batch).
+    window_wait_ms: float = 0.0
 
     @property
     def n_requests(self) -> int:

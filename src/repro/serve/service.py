@@ -8,9 +8,13 @@ owns the engine and turns the arrival stream into micro-batches:
 1. **Admission** — a bounded queue; a full queue rejects at the door
    (:class:`~repro.serve.futures.AdmissionError`), which is the service's
    backpressure signal.
-2. **Micro-batching** — everything arriving within ``window_ms`` of the
-   batch's first request (capped at ``max_batch_requests``) is coalesced:
-   duplicate queries across clients collapse to one planned instance, and
+2. **Micro-batching** — work-conserving: the scheduler takes the first
+   request plus every request already queued behind it, then keeps the
+   batch open only while ``window_ms`` after the first request's submit
+   time has not elapsed (capped at ``max_batch_requests`` throughout).
+   Requests that arrive while a batch executes therefore form the next
+   batch, so batches grow with load even at the default window of 0.
+   Duplicate queries across clients collapse to one planned instance, and
    result-cache hits bypass planning entirely.
 3. **Planning** — the distinct cache-missing queries go through the
    existing multi-query optimizers (``gg`` by default) as *one* global
@@ -45,7 +49,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.executor import ExecutionReport, execute_plan_parallel
 from ..core.operators.results import QueryResult
@@ -434,20 +438,41 @@ class QueryService:
                 if self._stopping.is_set():
                     break
                 continue
-            requests = [first]
-            window_ends = time.monotonic() + self.config.window_ms / 1000.0
-            while len(requests) < self.config.max_batch_requests:
-                remaining = window_ends - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    requests.append(self._queue.get(timeout=remaining))
-                except queue.Empty:
-                    break
+            requests, window_wait_ms = self._collect(first)
             self._m_queue_depth.set(self._queue.qsize())
-            self._run_batch(requests)
+            self._run_batch(requests, window_wait_ms)
 
-    def _run_batch(self, requests: List[ServeRequest]) -> None:
+    def _collect(self, first: ServeRequest) -> Tuple[List[ServeRequest], float]:
+        """Gather one batch behind ``first``: drain the backlog, then hold
+        the batch open until the window anchored at ``first``'s submit
+        time closes.  Returns the requests and the wall ms spent holding
+        the batch open after the drain (0 when the window had already
+        closed or the backlog filled the batch)."""
+        requests = [first]
+        window_ends = first.submitted_s + self.config.window_ms / 1000.0
+        held_s = 0.0
+        while len(requests) < self.config.max_batch_requests:
+            try:
+                requests.append(self._queue.get_nowait())
+                continue
+            except queue.Empty:
+                pass
+            waiting_from = time.monotonic()
+            if waiting_from >= window_ends:
+                break
+            try:
+                requests.append(
+                    self._queue.get(timeout=window_ends - waiting_from)
+                )
+            except queue.Empty:
+                break
+            finally:
+                held_s += time.monotonic() - waiting_from
+        return requests, held_s * 1000.0
+
+    def _run_batch(
+        self, requests: List[ServeRequest], window_wait_ms: float
+    ) -> None:
         now = time.monotonic()
         live: List[ServeRequest] = []
         for request in requests:
@@ -469,6 +494,7 @@ class QueryService:
         coalesce_started = time.perf_counter()
         batch = assemble_batch(next(self._batch_ids), live)
         batch.started_s = now
+        batch.window_wait_ms = window_wait_ms
         stages.add(
             "coalesce",
             wall_ms=(time.perf_counter() - coalesce_started) * 1000.0,
@@ -535,6 +561,7 @@ class QueryService:
                 n_submitted=batch.n_submitted,
                 n_distinct=batch.n_distinct,
                 n_cache_hits=len(hits),
+                window_wait_ms=round(batch.window_wait_ms, 3),
             ) as span:
                 batch_span = span
                 if misses:
@@ -598,6 +625,7 @@ class QueryService:
             n_requests=batch.n_requests,
             n_submitted=batch.n_submitted,
             n_distinct=batch.n_distinct,
+            window_wait_ms=round(batch.window_wait_ms, 3),
             stages={
                 name: timing.as_dict()
                 for name, timing in stages.timings().items()

@@ -2,7 +2,8 @@
 
 Covers the batching policy (config validation, cross-request dedup),
 futures (single assignment, wait timeouts), admission backpressure,
-queued-request deadlines, shutdown semantics, error routing, the parallel
+queued-request deadlines, shutdown semantics, error routing, the
+work-conserving scheduler (backlog drain, window anchoring), the parallel
 class executor's byte-identity to the serial one, and the satellite
 duplicate-query-coalescing scenario: many concurrent clients with
 overlapping query sets must yield one planned instance per distinct query
@@ -60,7 +61,7 @@ def make_request(request_id: int, queries, deadline_s=None) -> ServeRequest:
 class TestServeConfig:
     def test_defaults_are_valid(self):
         config = ServeConfig()
-        assert config.window_ms == 10.0
+        assert config.window_ms == 0.0
         assert config.cold
 
     @pytest.mark.parametrize(
@@ -316,6 +317,72 @@ class TestDuplicateCoalescing:
         clean = result_b.groups[key]
         result_a.groups[key] += 1e6
         assert result_b.groups[key] == pytest.approx(clean)
+
+
+class TestWorkConservingScheduler:
+    """The scheduler makes each batch from the requests already queued,
+    and any window is measured from the first request's submit time."""
+
+    def serve_backlog(self, service, queries_per_request):
+        futures = [service.submit(queries) for queries in queries_per_request]
+        service.start()
+        try:
+            return [future.result(timeout=60.0) for future in futures]
+        finally:
+            service.stop()
+
+    def test_backlog_is_one_batch_without_a_window(self, db):
+        members = (0, 1, 0, 2, 1, 0)
+        service = QueryService(db, ServeConfig(window_ms=0.0))
+        requests = [[make_query(member)] for member in members]
+        responses = self.serve_backlog(service, requests)
+        stats = service.stats.snapshot()
+        assert stats.batch_sizes == [len(members)]
+        assert stats.n_queries_submitted == len(members)
+        assert stats.n_queries_planned == len(set(members))
+        assert stats.n_duplicates_eliminated == len(members) - len(set(members))
+        for queries, response in zip(requests, responses):
+            expected = db.run_queries(queries, "gg").result_for(queries[0])
+            assert response.result_for(queries[0]).groups == pytest.approx(
+                expected.groups
+            )
+
+    def test_backlog_is_cut_at_the_batch_cap(self, db):
+        service = QueryService(
+            db, ServeConfig(window_ms=0.0, max_batch_requests=4)
+        )
+        self.serve_backlog(service, [[make_query(m % 3)] for m in range(10)])
+        assert service.stats.snapshot().batch_sizes == [4, 4, 2]
+
+    def test_window_is_anchored_at_submit_time(self, db):
+        # A request that already waited 300 ms (longer than the 200 ms
+        # window) must not wait a fresh window after it is dequeued.
+        service = QueryService(db, ServeConfig(window_ms=200.0))
+        future = service.submit([make_query(0)])
+        time.sleep(0.3)
+        service.start()
+        try:
+            response = future.result(timeout=30.0)
+        finally:
+            service.stop()
+        assert response.stages["queued"].wall_ms < 400.0
+
+    def test_idle_arrival_records_its_window_wait(self, db):
+        service = QueryService(db, ServeConfig(window_ms=200.0))
+        with service:
+            time.sleep(0.05)  # the scheduler is idle when the request lands
+            service.submit([make_query(0)]).result(timeout=30.0)
+        (entry,) = service.recorder.entries("batch")
+        assert 0.0 < entry["window_wait_ms"] <= 250.0
+        assert entry["trace"]["attrs"]["window_wait_ms"] == entry["window_wait_ms"]
+
+    def test_backlog_batch_records_no_window_wait(self, db):
+        service = QueryService(db, ServeConfig(window_ms=0.0))
+        self.serve_backlog(service, [[make_query(0)], [make_query(1)]])
+        (entry,) = service.recorder.entries("batch")
+        assert entry["n_requests"] == 2
+        assert entry["window_wait_ms"] == 0.0
+        assert entry["trace"]["attrs"]["window_wait_ms"] == 0.0
 
 
 class TestParallelExecutor:
