@@ -135,9 +135,7 @@ class IndexStarJoin:
                 operator=type(self).__name__,
                 table=self.source.name,
             )
-        keys, measures = self.source.table.fetch_positions(
-            ctx.pool, positions, ctx.schema.n_dims
-        )
+        keys, measures = self.source.table.fetch_positions(ctx.pool, positions)
         rollups = RollupCache(
             ctx.schema, ctx.stats, pool=ctx.pool, dim_tables=ctx.dim_tables
         )
@@ -209,9 +207,7 @@ class SharedIndexStarJoin:
         positions = union.positions()
         actuals.union_popcount = int(union.count())
         actuals.probes_issued = int(positions.size)
-        keys, measures = self.source.table.fetch_positions(
-            ctx.pool, positions, ctx.schema.n_dims
-        )
+        keys, measures = self.source.table.fetch_positions(ctx.pool, positions)
         # Step 3: "Filter tuples" — route each tuple to the queries whose own
         # bitmap has its position set.  Step 4: per-query aggregation.
         routed = metrics.counter(

@@ -71,12 +71,11 @@ SEGMENT_ROWS = 2048
 
 
 class Segment(NamedTuple):
-    """Consecutive scanned pages' columns, concatenated into one batch."""
+    """Consecutive scanned pages' columns: one zero-copy slice of the
+    table's arrays."""
 
     n_pages: int
-    #: Row positions ``start .. stop-1`` the batch covers.  Heap pages fill
-    #: in order, so only a segment's last page can be short; ``stop`` counts
-    #: its actual rows.
+    #: Row positions ``start .. stop-1`` the batch covers.
     start: int
     stop: int
     keys: List[np.ndarray]
@@ -88,26 +87,10 @@ class Segment(NamedTuple):
         return self.measures.size
 
 
-def _segment(
-    pending: List[Tuple[Page, List[np.ndarray], np.ndarray]], capacity: int
-) -> Segment:
-    first_page = pending[0][0]
-    last_page, _keys, last_measures = pending[-1]
-    if len(pending) == 1:
-        _page, keys, measures = pending[0]
-    else:
-        keys = [
-            np.concatenate([item[1][d] for item in pending])
-            for d in range(len(pending[0][1]))
-        ]
-        measures = np.concatenate([item[2] for item in pending])
-    return Segment(
-        n_pages=len(pending),
-        start=first_page.page_no * capacity,
-        stop=last_page.page_no * capacity + last_measures.size,
-        keys=keys,
-        measures=measures,
-    )
+def _segment(pending: List[Page]) -> Segment:
+    start, stop = pending[0].start, pending[-1].stop
+    keys, measures = pending[0].table.column_arrays(start, stop)
+    return Segment(len(pending), start, stop, keys, measures)
 
 
 def scan_segments(
@@ -118,24 +101,23 @@ def scan_segments(
 
     Page reads, pool admission and fault checks happen per page, in scan
     order: each page is read through
-    :meth:`~repro.storage.table.HeapTable.scan_batches` (its cached
-    columnar view), then the ``operator.pipeline`` fault site is checked
-    once.  Only the pipelines' work is batched.  Every
-    charge the pipelines make is an integer count, so the simulated clock
-    is exactly that of per-page processing.  If the scan raises mid-segment
-    (an injected ``storage.page_read`` or ``operator.pipeline`` fault), the
-    pages already read are yielded first and the exception re-raised on
-    the next step, so an aborted scan charges exactly the partial cost
-    per-page processing would have.
+    :meth:`~repro.storage.table.HeapTable.scan_pages`, then the
+    ``operator.pipeline`` fault site is checked once.  Only the pipelines'
+    work is batched: a run of whole pages is one slice of the table's
+    column arrays.  Every charge the pipelines make is an integer count, so
+    the simulated clock is exactly that of per-page processing.  If the
+    scan raises mid-segment (an injected ``storage.page_read`` or
+    ``operator.pipeline`` fault), the pages already read are yielded first
+    and the exception re-raised on the next step, so an aborted scan
+    charges exactly the partial cost per-page processing would have.
     """
-    capacity = entry.table.capacity
     faults = ctx.faults
-    pages = entry.table.scan_batches(ctx.pool, ctx.schema.n_dims)
-    pending: List[Tuple[Page, List[np.ndarray], np.ndarray]] = []
+    pages = entry.table.scan_pages(ctx.pool)
+    pending: List[Page] = []
     rows = 0
     while True:
         try:
-            item = next(pages)
+            page = next(pages)
             if faults is not None:
                 faults.check(
                     "operator.pipeline",
@@ -146,16 +128,16 @@ def scan_segments(
             break
         except Exception:
             if pending:
-                yield _segment(pending, capacity)
+                yield _segment(pending)
             raise
-        pending.append(item)
-        rows += item[2].size
+        pending.append(page)
+        rows += len(page)
         if rows >= SEGMENT_ROWS:
-            yield _segment(pending, capacity)
+            yield _segment(pending)
             pending = []
             rows = 0
     if pending:
-        yield _segment(pending, capacity)
+        yield _segment(pending)
 
 
 def run_shared_scan(

@@ -18,7 +18,7 @@ from .navigate import NavigationError, drill_down, roll_up, slice_member
 from .persist import load_database, save_database
 from .materialize import (
     build_groupby_table,
-    compute_groupby_rows,
+    compute_groupby_columns,
     pick_materialization_source,
 )
 from .session import QuerySession, SessionReport, query_key
@@ -56,7 +56,7 @@ __all__ = [
     "attach_log",
     "build_cube",
     "build_groupby_table",
-    "compute_groupby_rows",
+    "compute_groupby_columns",
     "drill_down",
     "greedy_select_views",
     "level_column",

@@ -25,9 +25,9 @@ from ..schema.star import StarSchema
 from ..storage.buffer import DEFAULT_POOL_PAGES, BufferPool
 from ..storage.catalog import Catalog, TableEntry
 from ..storage.iostats import DEFAULT_RATES, CostRates, IOStats
-from ..storage.page import DEFAULT_PAGE_SIZE, Row
+from ..storage.page import DEFAULT_PAGE_SIZE, ColumnBatch, Row
 from ..storage.table import HeapTable
-from .materialize import build_groupby_table, pick_materialization_source
+from .materialize import build_groupby_table, fact_table, pick_materialization_source
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.executor import ExecutionReport
@@ -112,16 +112,28 @@ class Database:
         return self.schema.check_levels(levels)
 
     def load_base(
-        self, rows: Iterable[Row], name: Optional[str] = None
+        self,
+        rows: Iterable[Row] = (),
+        name: Optional[str] = None,
+        *,
+        columns: Optional[ColumnBatch] = None,
     ) -> TableEntry:
-        """Create and load the lowest-level (LL) base table."""
+        """Create and load the lowest-level (LL) base table from row tuples
+        or, in bulk, from ``columns`` (leaf-level key arrays, one per
+        dimension, and the measure array).
+
+        Keys must be leaf member ids and measures finite numbers; a bad
+        value raises :class:`~repro.storage.table.InvalidDataError` and
+        registers nothing.
+        """
         base_levels = self.schema.base_levels()
         if name is None:
             name = self.schema.groupby_name(base_levels)
-        columns = [dim.name for dim in self.schema.dimensions]
-        columns.append(self.schema.measure)
-        table = HeapTable(name, columns, page_size=self.page_size)
-        table.extend(rows)
+        table = fact_table(self.schema, name, base_levels, self.page_size)
+        if columns is None:
+            table.extend(rows)
+        else:
+            table.append_columns(*columns)
         entry = self.catalog.register(table, base_levels)
         self.notify_mutation()
         return entry
@@ -181,16 +193,15 @@ class Database:
         for dim in self.schema.dimensions:
             if dim.name in self.dimension_tables:
                 continue
-            columns = [dim.level_name(depth) for depth in range(dim.n_levels)]
+            depths = range(dim.n_levels)
             table = HeapTable(
-                f"{dim.name}dim", columns, page_size=self.page_size
+                f"{dim.name}dim",
+                [dim.level_name(depth) for depth in depths],
+                page_size=self.page_size,
+                key_domains=[dim.n_members(depth) for depth in depths[:-1]],
             )
-            n_leaves = dim.n_members(0)
-            for leaf in range(n_leaves):
-                row = [leaf]
-                for depth in range(1, dim.n_levels):
-                    row.append(dim.rollup(0, depth, leaf))
-                table.append(tuple(row))
+            ancestors = [dim.rollup_map(0, depth) for depth in depths]
+            table.append_columns(ancestors[:-1], ancestors[-1])
             self.dimension_tables[dim.name] = table
         return self.dimension_tables
 

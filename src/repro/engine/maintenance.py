@@ -48,20 +48,13 @@ def _group_index(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """A view's ``(sorted group codes, row positions)``.
 
-    Built from the pages' cached columns on first use, and again whenever
+    Built from the table's key columns on first use, and again whenever
     it no longer covers every row of the table.
     """
     index = entry._group_index  # noqa: SLF001 - engine-internal state
     if index is not None and index[0].size == entry.table.n_rows:
         return index
-    n_dims = len(entry.levels)
-    codes = np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [
-            group_codes(page.columns(n_dims)[0], strides)
-            for page in entry.table._pages  # noqa: SLF001 - engine-internal
-        ]
-    )
+    codes = group_codes(entry.table.column_arrays()[0], strides)
     order = np.argsort(codes, kind="stable")
     index = (codes[order], order.astype(np.int64))
     entry._group_index = index  # noqa: SLF001
@@ -114,28 +107,18 @@ def _merge_into_view(
     found = slots < view_codes.size
     found[found] = view_codes[slots[found]] == codes[found]
     table = entry.table
-    n_dims = len(entry.levels)
-    for position, value in zip(
-        positions[slots[found]].tolist(), values[found].tolist()
-    ):
-        page_no, slot = divmod(position, table.capacity)
-        page = table._pages[page_no]  # noqa: SLF001 - engine-internal access
-        row = page.rows[slot]
-        current = float(row[n_dims])
-        if aggregate in (Aggregate.SUM, Aggregate.COUNT):
-            merged = current + value
-        elif aggregate is Aggregate.MIN:
-            merged = min(current, value)
-        else:
-            merged = max(current, value)
-        # Page.update also drops the page's cached columnar view.
-        page.update(slot, row[:n_dims] + (merged,))
+    targets = positions[slots[found]]
+    current = table.column_arrays()[1][targets]
+    if aggregate in (Aggregate.SUM, Aggregate.COUNT):
+        merged = current + values[found]
+    elif aggregate is Aggregate.MIN:
+        merged = np.minimum(current, values[found])
+    else:
+        merged = np.maximum(current, values[found])
+    table.set_measures(targets, merged)
     new = ~found
     new_keys = [column[new] for column in keys]
-    first_position = table.n_rows
-    table.extend(
-        zip(*(column.tolist() for column in new_keys), values[new].tolist())
-    )
+    first_position = table.append_columns(new_keys, values[new])
     new_positions = np.arange(first_position, table.n_rows, dtype=np.int64)
     entry._group_index = (  # noqa: SLF001
         np.insert(view_codes, slots[new], codes[new]),
@@ -186,39 +169,24 @@ def append_rows(
         raise MaintenanceError(
             f"{base_name!r} is a materialized view, not a base table"
         )
-    rows = [tuple(row) for row in rows]
+    rows = list(rows)
     report: Dict[str, int] = {}
     if not rows:
         return report
-    n_dims = schema.n_dims
-    for row in rows:
-        if len(row) != n_dims + 1:
-            raise ValueError(
-                f"fact rows need {n_dims + 1} fields, got {len(row)}"
-            )
-    matrix = np.asarray([row[:n_dims] for row in rows], dtype=np.int64)
-    base_keys = [matrix[:, d] for d in range(n_dims)]
-    measures = np.asarray([row[n_dims] for row in rows], dtype=np.float64)
-    # Out-of-range keys would silently wrap in the rollup gathers below.
-    for dim, level, column in zip(schema.dimensions, base.levels, base_keys):
-        bad = column[(column < 0) | (column >= dim.n_members(level))]
-        if bad.size:
-            raise ValueError(
-                f"key {int(bad[0])} out of range for dimension {dim.name!r} "
-                f"(0..{dim.n_members(level) - 1})"
-            )
     views = [
         (entry, group_code_strides(schema, entry.levels))
         for entry in db.catalog.entries()
         if not entry.is_raw
     ]
-    first_position = base.table.n_rows
 
     tracer = db.tracer
     with tracer.span("maintenance.append", rows=len(rows)) as span:
-        # 1. Append to the base table.
+        # 1. Append to the base table.  The table validates the whole batch
+        # first (out-of-range keys would silently wrap in the rollup
+        # gathers below); the deltas are then computed from what it stored.
         with tracer.span("maintenance.base"):
-            base.table.extend(rows)
+            first_position = base.table.extend(rows)
+        base_keys, measures = base.table.column_arrays(first_position)
 
         # 2. Maintain the base table's join indexes.
         with tracer.span("maintenance.base_indexes"):

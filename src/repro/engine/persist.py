@@ -26,6 +26,7 @@ from ..schema.dimension import Dimension
 from ..schema.star import StarSchema
 from ..storage.iostats import CostRates
 from .database import Database
+from .materialize import fact_table
 
 FORMAT_VERSION = 1
 
@@ -82,19 +83,9 @@ def save_database(db: Database, directory: str | Path) -> Path:
                 for (dim_index, level), index in sorted(entry.indexes.items())
             ],
         }
-        rows = list(entry.table.all_rows())
-        n_dims = db.schema.n_dims
-        arrays = {}
-        if rows:
-            matrix = np.asarray(rows, dtype=np.float64)
-            for d in range(n_dims):
-                arrays[f"key{d}"] = matrix[:, d].astype(np.int64)
-            arrays["measure"] = matrix[:, n_dims]
-        else:
-            for d in range(n_dims):
-                arrays[f"key{d}"] = np.empty(0, dtype=np.int64)
-            arrays["measure"] = np.empty(0, dtype=np.float64)
-        np.savez_compressed(root / f"{stem}.npz", **arrays)
+        keys, measures = entry.table.column_arrays()
+        arrays = {f"key{d}": column for d, column in enumerate(keys)}
+        np.savez_compressed(root / f"{stem}.npz", **arrays, measure=measures)
     (root / "catalog.json").write_text(json.dumps(catalog_doc, indent=1))
     return root
 
@@ -138,20 +129,13 @@ def load_database(
         catalog_doc.items(),
         key=lambda item: (item[1]["source_aggregate"] is not None, item[0]),
     )
-    from ..storage.table import HeapTable
-
     for name, doc in ordered:
+        table = fact_table(schema, name, doc["levels"], db.page_size)
         with np.load(root / doc["file"]) as arrays:
-            keys = [arrays[f"key{d}"] for d in range(schema.n_dims)]
-            measures = arrays["measure"]
-            rows = [
-                tuple(int(col[i]) for col in keys) + (float(measures[i]),)
-                for i in range(measures.size)
-            ]
-        columns = [dim.name for dim in schema.dimensions]
-        columns.append(schema.measure)
-        table = HeapTable(name, columns, page_size=db.page_size)
-        table.extend(rows)
+            table.append_columns(
+                [arrays[f"key{d}"] for d in range(schema.n_dims)],
+                arrays["measure"],
+            )
         entry = db.catalog.register(
             table,
             tuple(doc["levels"]),

@@ -82,26 +82,21 @@ class TableStats:
 
 def analyze_table(schema: StarSchema, entry: TableEntry) -> TableStats:
     """Scan one table (offline) and collect per-dimension key frequencies."""
-    n_dims = schema.n_dims
     columns: Dict[int, ColumnStats] = {}
-    rows = list(entry.table.all_rows())
+    n_rows = entry.table.n_rows
+    keys, _measures = entry.table.column_arrays()
     for d, dim in enumerate(schema.dimensions):
         stored = entry.levels[d]
         if stored == dim.all_level:
             continue
-        keys = np.fromiter(
-            (int(row[d]) for row in rows), dtype=np.int64, count=len(rows)
-        )
-        counts = np.bincount(keys, minlength=dim.n_members(stored))
+        counts = np.bincount(keys[d], minlength=dim.n_members(stored))
         columns[d] = ColumnStats(
             dim_index=d,
             stored_level=stored,
             counts=counts,
-            n_rows=len(rows),
+            n_rows=n_rows,
         )
-    return TableStats(
-        table_name=entry.name, n_rows=len(rows), columns=columns
-    )
+    return TableStats(table_name=entry.name, n_rows=n_rows, columns=columns)
 
 
 def analyze(db, table_names: Optional[Sequence[str]] = None) -> Dict[str, TableStats]:

@@ -96,12 +96,7 @@ class BitmapJoinIndex(JoinIndex):
         ``key_to_member`` maps the dimension key *as stored in the table's
         column* to the member id at the indexed ``level``.
         """
-        keys = np.fromiter(
-            (row[column_index] for row in table.all_rows()),
-            dtype=np.int64,
-            count=table.n_rows,
-        )
-        members = key_to_member[keys] if keys.size else keys
+        members = key_to_member[table.column_arrays()[0][column_index]]
         bitmaps: Dict[int, Bitmap] = {}
         for member in range(n_members):
             mask = members == member

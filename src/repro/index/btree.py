@@ -53,12 +53,7 @@ class PositionListJoinIndex(JoinIndex):
     ) -> "PositionListJoinIndex":
         """Build from an unaccounted scan of ``table`` (same signature as
         :meth:`BitmapJoinIndex.build`)."""
-        keys = np.fromiter(
-            (row[column_index] for row in table.all_rows()),
-            dtype=np.int64,
-            count=table.n_rows,
-        )
-        members = key_to_member[keys] if keys.size else keys
+        members = key_to_member[table.column_arrays()[0][column_index]]
         rid_lists: Dict[int, np.ndarray] = {}
         order = np.argsort(members, kind="stable")
         sorted_members = members[order]

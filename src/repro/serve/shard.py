@@ -42,6 +42,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.executor import (
     ClassExecution,
     ClassFailure,
@@ -70,11 +72,12 @@ if TYPE_CHECKING:  # pragma: no cover
 _HASH_MULTIPLIER = 2654435761
 
 
-def shard_of(key: int, n_shards: int) -> int:
-    """Deterministic shard assignment of one dimension key."""
-    if n_shards == 1:
-        return 0
-    return ((int(key) * _HASH_MULTIPLIER) & 0xFFFFFFFF) % n_shards
+def shard_of(keys, n_shards: int) -> np.ndarray:
+    """Deterministic shard assignment of a dimension key, or elementwise of
+    an array of keys.  The ``uint64`` product wraps mod 2**64, which keeps
+    the low 32 bits of the hash exact."""
+    hashed = np.asarray(keys, dtype=np.uint64) * np.uint64(_HASH_MULTIPLIER)
+    return (hashed & np.uint64(0xFFFFFFFF)) % np.uint64(n_shards)
 
 
 @dataclass
@@ -147,15 +150,20 @@ def build_shards(
     ]
     for entry in db.catalog.entries():
         source = entry.table
+        keys, measures = source.column_arrays()
+        owner = shard_of(keys[dim_index], n_shards)
         parts = [
-            HeapTable(source.name, source.columns, page_size=source.page_size)
+            HeapTable(
+                source.name,
+                source.columns,
+                page_size=source.page_size,
+                key_domains=source.key_domains,
+            )
             for _ in range(n_shards)
         ]
-        if n_shards == 1:
-            parts[0].extend(source.all_rows())
-        else:
-            for row in source.all_rows():
-                parts[shard_of(row[dim_index], n_shards)].append(row)
+        for shard_id, part in enumerate(parts):
+            mine = owner == shard_id
+            part.append_columns([column[mine] for column in keys], measures[mine])
         for shard, part in zip(shards, parts):
             shard_entry = shard.catalog.register(
                 part,

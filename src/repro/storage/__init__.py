@@ -9,22 +9,23 @@ and tuple operation to a deterministic simulated cost clock
 from .buffer import DEFAULT_POOL_PAGES, BufferPool
 from .catalog import Catalog, TableEntry
 from .iostats import DEFAULT_RATES, CostRates, IOStats
-from .page import BYTES_PER_COLUMN, DEFAULT_PAGE_SIZE, Page, Row, pack_rows, rows_per_page
-from .table import HeapTable
+from .page import BYTES_PER_COLUMN, DEFAULT_PAGE_SIZE, ColumnBatch, Page, Row, rows_per_page
+from .table import HeapTable, InvalidDataError
 
 __all__ = [
     "BYTES_PER_COLUMN",
     "BufferPool",
     "Catalog",
+    "ColumnBatch",
     "CostRates",
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_POOL_PAGES",
     "DEFAULT_RATES",
     "HeapTable",
     "IOStats",
+    "InvalidDataError",
     "Page",
     "Row",
     "TableEntry",
-    "pack_rows",
     "rows_per_page",
 ]

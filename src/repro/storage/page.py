@@ -1,30 +1,32 @@
-"""Fixed-width slotted pages with a columnar mirror.
+"""Fixed-width pages: numbered windows over a heap table's column arrays.
 
-A :class:`Page` holds up to ``capacity`` fixed-width rows.  Rows are plain
-Python tuples — the first columns are integer dimension keys and the last
-column is the numeric measure.  The byte-level layout is only *accounted*
-(row width in bytes drives page capacity and hence I/O cost), not actually
-serialized; this keeps the engine pure-Python fast while preserving the
-paper's I/O arithmetic (e.g. its 20-byte, five-attribute base tuples).
+A heap table (:mod:`repro.storage.table`) stores its data column-wise, as
+one ``int64`` array per dimension-key column plus one ``float64`` measure
+array.  A :class:`Page` holds no data of its own: page ``page_no`` is the
+row range ``start .. stop-1`` with ``start = page_no * capacity`` and
+``stop`` capped by the table's row count.  The byte-level layout is only
+*accounted* (row width in bytes drives page capacity and hence I/O cost),
+which preserves the paper's I/O arithmetic (e.g. its 20-byte,
+five-attribute base tuples) without serializing anything.
 
-Each page additionally exposes a **columnar view** (:meth:`Page.columns`):
-per-dimension ``int64`` key arrays plus the ``float64`` measure column,
-decoded from the row tuples once and cached on the page.  The shared
-operators (see :mod:`repro.core.operators`) read this view, so a page is
-decoded at most once over the life of the table instead of once per
-operator execution per scan — the heart of the columnar row-batch layout.
-The cache is invalidated on append and update.
+:meth:`Page.columns` is a zero-copy slice of the table's arrays — what the
+shared operators (see :mod:`repro.core.operators`) read.  Row tuples
+(iteration and indexing) are derived from those slices on demand, for the
+callers that want rows: tests, the reference oracle, debugging.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 import numpy as np
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .table import HeapTable
+
 Row = Tuple  # a fixed-width tuple of ints (keys) and a numeric measure
 
-#: A page's columnar view: per-key ``int64`` arrays and the ``float64``
+#: A run of rows column-wise: per-key ``int64`` arrays and the ``float64``
 #: measure column, aligned by slot.
 ColumnBatch = Tuple[List[np.ndarray], np.ndarray]
 
@@ -49,95 +51,56 @@ def rows_per_page(n_columns: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
     return capacity
 
 
-class Page:
-    """One page of fixed-width rows.
+def batch_rows(keys: List[np.ndarray], measures: np.ndarray) -> Iterator[Row]:
+    """The row tuples ``(key_0, …, key_{n-1}, measure)`` of a column batch,
+    as Python ints and a float."""
+    return zip(*(column.tolist() for column in keys), measures.tolist())
 
-    Pages are append-only; deletes are not needed for the read-mostly OLAP
-    workloads this engine serves.
+
+class Page:
+    """Page ``page_no`` of ``table``: a descriptor, made on demand.
+
+    Its bounds are computed from the table, so a page that is not yet full
+    grows as rows are appended, whoever holds it (the buffer pool keeps
+    pages as its frames).
     """
 
-    __slots__ = ("page_no", "capacity", "rows", "_columns")
+    __slots__ = ("table", "page_no")
 
-    def __init__(self, page_no: int, capacity: int):
-        if capacity <= 0:
-            raise ValueError("page capacity must be positive")
+    def __init__(self, table: "HeapTable", page_no: int):
+        self.table = table
         self.page_no = page_no
-        self.capacity = capacity
-        self.rows: List[Row] = []
-        #: Cached columnar view, ``(n_keys, key_arrays, measures)``;
-        #: dropped whenever the page grows.
-        self._columns: Optional[Tuple[int, List[np.ndarray], np.ndarray]] = None
+
+    @property
+    def start(self) -> int:
+        """Position of the page's first row."""
+        return self.page_no * self.table.capacity
+
+    @property
+    def stop(self) -> int:
+        """One past the position of the page's last row."""
+        return min(self.start + self.table.capacity, self.table.n_rows)
 
     @property
     def is_full(self) -> bool:
         """True when the page has no free slot."""
-        return len(self.rows) >= self.capacity
+        return len(self) >= self.table.capacity
 
-    def append(self, row: Row) -> int:
-        """Append ``row``; return its slot number within this page."""
-        if self.is_full:
-            raise ValueError(f"page {self.page_no} is full")
-        self.rows.append(row)
-        self._columns = None
-        return len(self.rows) - 1
-
-    def columns(self, n_keys: int) -> ColumnBatch:
-        """The page's columnar view: ``n_keys`` ``int64`` key arrays and the
-        ``float64`` measure column (the column at index ``n_keys``).
-
-        Decoded from the row tuples on first use and cached; appends drop
-        the cache.  The values are exactly what a fresh per-scan decode of
-        the tuples yields, so operators may mix this with the tuple path
-        without observable difference.
-        """
-        cached = self._columns
-        if cached is not None and cached[0] == n_keys:
-            return cached[1], cached[2]
-        if not self.rows:
-            empty_key = np.empty(0, dtype=np.int64)
-            keys: List[np.ndarray] = [empty_key] * n_keys
-            measures = np.empty(0, dtype=np.float64)
-        else:
-            matrix = np.asarray(self.rows, dtype=np.float64)
-            keys = [matrix[:, d].astype(np.int64) for d in range(n_keys)]
-            measures = matrix[:, n_keys]
-        self._columns = (n_keys, keys, measures)
-        return keys, measures
-
-    def update(self, slot: int, row: Row) -> None:
-        """Overwrite the row at ``slot`` (in-place view maintenance).
-
-        Every mutation must come through :meth:`append` or here so the
-        cached columnar view is dropped with it."""
-        self.rows[slot] = row
-        self._columns = None
-
-    def extend(self, rows: Iterable[Row]) -> None:
-        """Append each element in order."""
-        for row in rows:
-            self.append(row)
+    def columns(self) -> ColumnBatch:
+        """The page's key columns and measure column: zero-copy slices of
+        the table's arrays."""
+        return self.table.column_arrays(self.start, self.stop)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.stop - self.start
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
+        return batch_rows(*self.columns())
 
     def __getitem__(self, slot: int) -> Row:
-        return self.rows[slot]
+        if not 0 <= slot < len(self):
+            raise IndexError(f"slot {slot} out of range for page {self.page_no}")
+        return self.table.row_at(self.start + slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Page(no={self.page_no}, rows={len(self.rows)}/{self.capacity})"
-
-
-def pack_rows(
-    rows: Sequence[Row], n_columns: int, page_size: int = DEFAULT_PAGE_SIZE
-) -> List[Page]:
-    """Pack ``rows`` densely into a list of pages."""
-    capacity = rows_per_page(n_columns, page_size)
-    pages: List[Page] = []
-    for start in range(0, len(rows), capacity):
-        page = Page(len(pages), capacity)
-        page.extend(rows[start : start + capacity])
-        pages.append(page)
-    return pages
+        return f"Page(no={self.page_no}, rows={len(self)}/{self.table.capacity})"

@@ -1,42 +1,108 @@
-"""Paged heap tables.
+"""Paged heap tables stored as column arrays.
 
-A :class:`HeapTable` stores fixed-width rows in append-only pages.  Rows are
-addressed by a dense global *row position* (``page_no * capacity + slot``);
-bitmap join indexes use these positions as bit offsets, exactly like the
-paper's "position based" join indexes.
+A :class:`HeapTable` stores its rows column-wise — one ``int64`` array per
+dimension-key column plus one ``float64`` measure array (the last column) —
+and that is the only stored form of the table.  Its pages
+(:class:`~repro.storage.page.Page`) are ``(page_no, start, stop)``
+descriptors over those arrays, so a page's columns, or a run of whole
+pages, are zero-copy slices.  Row tuples are derived on demand for the
+callers that want them (:meth:`HeapTable.all_rows`, :meth:`HeapTable.row_at`,
+iterating a page).
+
+Rows are addressed by a dense global *row position* (``page_no * capacity
++ slot``); bitmap join indexes use these positions as bit offsets, exactly
+like the paper's "position based" join indexes.
+
+Every append goes through one bulk primitive, :meth:`HeapTable.append_columns`,
+which validates the whole batch before writing any of it: keys must be
+integral and inside their column's domain, measures numeric and finite.
+The arrays grow by reallocation, so a column slice taken before an append
+never changes because of it.
 
 Scans and probes go through the owning :class:`~repro.storage.buffer.BufferPool`
-so that sequential vs. random I/O is accounted.  The shared operators in
-:mod:`repro.core.operators` read through the columnar access paths
-(:meth:`HeapTable.scan_batches`, :meth:`HeapTable.fetch_positions`), which
-yield per-page column arrays with the same accounting as the row-wise
-:meth:`HeapTable.scan_pages` and :meth:`HeapTable.probe_positions`.
+so that sequential vs. random I/O is accounted.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.metrics import default_registry
-from .page import DEFAULT_PAGE_SIZE, Page, Row, rows_per_page
+from .page import DEFAULT_PAGE_SIZE, ColumnBatch, Page, Row, rows_per_page
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .buffer import BufferPool
 
 _table_ids = itertools.count(1)
 
+#: Largest magnitude a float key may have and still be an exact integer.
+_MAX_EXACT_FLOAT = 2.0**53
+
+
+class InvalidDataError(ValueError):
+    """A write rejected as a whole: a row of the wrong width, a key that is
+    not an integer or lies outside its column's domain, or a measure that
+    is not a finite number.  Nothing of the batch was written."""
+
+
+def _key_column(name: str, values, limit: Optional[int]) -> np.ndarray:
+    """``values`` as an ``int64`` key column in ``0 .. limit-1`` (or just
+    non-negative without a limit), or InvalidDataError."""
+    column = np.asarray(values)
+    if column.dtype.kind == "f":
+        integral = (np.trunc(column) == column) & (np.abs(column) < _MAX_EXACT_FLOAT)
+        if not integral.all():
+            bad = column[~integral][0].item()
+            raise InvalidDataError(f"key {bad!r} in column {name!r} is not an integer")
+    elif column.dtype.kind not in "biu" or column.ndim != 1:
+        raise InvalidDataError(
+            f"column {name!r} holds non-integer keys or is not 1-d "
+            f"({column.ndim}-d {column.dtype})"
+        )
+    column = column.astype(np.int64, copy=False)
+    bad = column < 0 if limit is None else (column < 0) | (column >= limit)
+    if bad.any():
+        domain = "non-negative" if limit is None else f"0..{limit - 1}"
+        raise InvalidDataError(
+            f"key {int(column[bad][0])} out of range for column {name!r} ({domain})"
+        )
+    return column
+
+
+def _measure_column(name: str, values) -> np.ndarray:
+    """``values`` as a finite ``float64`` measure column, or InvalidDataError."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "biuf" or column.ndim != 1:
+        raise InvalidDataError(
+            f"column {name!r} holds non-numeric measures or is not 1-d "
+            f"({column.ndim}-d {column.dtype})"
+        )
+    column = column.astype(np.float64, copy=False)
+    finite = np.isfinite(column)
+    if not finite.all():
+        bad = column[~finite][0].item()
+        raise InvalidDataError(f"measure {bad!r} in column {name!r} is not finite")
+    return column
+
 
 class HeapTable:
-    """An append-only paged table of fixed-width tuples."""
+    """An append-only paged table of fixed-width tuples, stored by column.
+
+    The first ``n_columns - 1`` columns are integer keys, the last one the
+    numeric measure.  ``key_domains`` (optional) gives each key column's
+    domain size: its keys must lie in ``0 .. size-1``.  Without it keys
+    need only be non-negative.
+    """
 
     def __init__(
         self,
         name: str,
         columns: Sequence[str],
         page_size: int = DEFAULT_PAGE_SIZE,
+        key_domains: Optional[Sequence[int]] = None,
     ):
         if not columns:
             raise ValueError("a table needs at least one column")
@@ -47,7 +113,20 @@ class HeapTable:
         self.columns = tuple(columns)
         self.page_size = page_size
         self.capacity = rows_per_page(len(columns), page_size)
-        self._pages: List[Page] = []
+        self.n_keys = len(columns) - 1
+        if key_domains is not None:
+            key_domains = tuple(int(size) for size in key_domains)
+            if len(key_domains) != self.n_keys:
+                raise ValueError(
+                    f"{len(key_domains)} key domains for {self.n_keys} key "
+                    f"columns of {name!r}"
+                )
+        self.key_domains: Optional[Tuple[int, ...]] = key_domains
+        # The stored data: rows 0 .. n_rows-1 of these (over-allocated) arrays.
+        self._keys: List[np.ndarray] = [
+            np.empty(0, dtype=np.int64) for _ in range(self.n_keys)
+        ]
+        self._measures = np.empty(0, dtype=np.float64)
         self._n_rows = 0
 
     # -- geometry ------------------------------------------------------------
@@ -60,7 +139,7 @@ class HeapTable:
     @property
     def n_pages(self) -> int:
         """Accounted size in pages."""
-        return len(self._pages)
+        return -(-self._n_rows // self.capacity)
 
     @property
     def n_columns(self) -> int:
@@ -85,40 +164,113 @@ class HeapTable:
 
     # -- writes ---------------------------------------------------------------
 
+    def append_columns(self, keys: Sequence, measures) -> int:
+        """Append rows given column-wise — ``n_keys`` key columns and the
+        measure column — and return the first new row's position.
+
+        The table's one append primitive: the whole batch is validated
+        (raising :class:`InvalidDataError`) before any of it is written.
+        """
+        if len(keys) != self.n_keys:
+            raise InvalidDataError(
+                f"{self.name!r} takes {self.n_keys} key columns, got {len(keys)}"
+            )
+        measures = _measure_column(self.columns[-1], measures)
+        domains = self.key_domains or (None,) * self.n_keys
+        columns = [
+            _key_column(name, values, limit)
+            for name, values, limit in zip(self.columns, keys, domains)
+        ]
+        if any(column.size != measures.size for column in columns):
+            raise InvalidDataError(
+                f"ragged columns for {self.name!r}: "
+                f"{[c.size for c in columns] + [measures.size]} values"
+            )
+        start = self._n_rows
+        stop = start + measures.size
+        if stop > self._measures.size:
+            self._grow(stop)
+        for stored, column in zip(self._keys, columns):
+            stored[start:stop] = column
+        self._measures[start:stop] = measures
+        self._n_rows = stop
+        return start
+
+    def extend(self, rows: Iterable[Row]) -> int:
+        """Append row tuples: converted to columns once and written by
+        :meth:`append_columns`.  Returns the first new row's position."""
+        rows = list(rows)
+        width = len(self.columns)
+        for row in rows:
+            if len(row) != width:
+                raise InvalidDataError(
+                    f"row width {len(row)} != table width {width} for {self.name!r}"
+                )
+        if not rows:
+            return self._n_rows
+        columns = list(zip(*rows))
+        return self.append_columns(columns[:-1], columns[-1])
+
     def append(self, row: Row) -> int:
         """Append one row; return its global row position."""
-        if len(row) != len(self.columns):
-            raise ValueError(
-                f"row width {len(row)} != table width {len(self.columns)} "
-                f"for {self.name!r}"
-            )
-        if not self._pages or self._pages[-1].is_full:
-            self._pages.append(Page(len(self._pages), self.capacity))
-        page = self._pages[-1]
-        page.append(tuple(row))
-        self._n_rows += 1
-        return self._n_rows - 1
+        return self.extend([row])
 
-    def extend(self, rows: Iterable[Row]) -> None:
-        """Append each element in order."""
-        for row in rows:
-            self.append(row)
+    def set_measures(self, positions, values) -> None:
+        """Overwrite the measure of existing rows in place (incremental view
+        maintenance); keys and positions never change."""
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and not (
+            0 <= positions.min() and positions.max() < self._n_rows
+        ):
+            raise IndexError(f"row positions out of range for {self.name!r}")
+        self._measures[positions] = _measure_column(self.columns[-1], values)
+
+    def _grow(self, needed: int) -> None:
+        """Reallocate the arrays to hold at least ``needed`` rows (doubling,
+        so appends are amortized O(1) per row).  Earlier slices keep the
+        old arrays, unchanged."""
+        size = max(needed, 2 * self._measures.size)
+        n = self._n_rows
+
+        def grown(old: np.ndarray) -> np.ndarray:
+            new = np.empty(size, dtype=old.dtype)
+            new[:n] = old[:n]
+            return new
+
+        self._keys = [grown(column) for column in self._keys]
+        self._measures = grown(self._measures)
 
     # -- reads (unaccounted; operators must go through the buffer pool) ------
 
     def page(self, page_no: int) -> Page:
-        """The page object at the given number (unaccounted)."""
-        return self._pages[page_no]
+        """The page at the given number (unaccounted)."""
+        if not 0 <= page_no < self.n_pages:
+            raise IndexError(
+                f"page {page_no} out of range for {self.name!r} ({self.n_pages} pages)"
+            )
+        return Page(self, page_no)
+
+    def column_arrays(self, start: int = 0, stop: Optional[int] = None) -> ColumnBatch:
+        """Rows ``start .. stop-1`` (default: all) column-wise, as zero-copy
+        slices of the stored arrays (unaccounted)."""
+        stop = self._n_rows if stop is None else min(stop, self._n_rows)
+        return (
+            [column[start:stop] for column in self._keys],
+            self._measures[start:stop],
+        )
 
     def all_rows(self) -> Iterator[Row]:
-        """Iterate every row without I/O accounting (tests and loading only)."""
-        for page in self._pages:
-            yield from page.rows
+        """Iterate every row, derived page by page, without I/O accounting
+        (tests, the reference oracle and loading only)."""
+        for page_no in range(self.n_pages):
+            yield from Page(self, page_no)
 
     def row_at(self, position: int) -> Row:
         """The row at a global position (unaccounted)."""
-        page_no, slot = self.position_to_page(position)
-        return self._pages[page_no][slot]
+        self.position_to_page(position)
+        return tuple(int(column[position]) for column in self._keys) + (
+            float(self._measures[position]),
+        )
 
     # -- accounted access ------------------------------------------------------
 
@@ -139,39 +291,19 @@ class HeapTable:
             scan_pages.inc()
             yield page
 
-    def scan_batches(
-        self, pool: "BufferPool", n_keys: int
-    ) -> Iterator[Tuple[Page, List[np.ndarray], np.ndarray]]:
-        """Columnar sequential scan: yield each page together with its
-        cached column arrays (``n_keys`` int64 key columns + the float64
-        measure column).
+    def fetch_positions(self, pool: "BufferPool", positions: np.ndarray) -> ColumnBatch:
+        """Positional fetch: gather the rows at ``positions`` column-wise,
+        in input order.
 
-        I/O accounting, metrics, and fault checks are exactly those of
-        :meth:`scan_pages` — the columnar decode itself is free on the
-        simulated clock (it models reading a column-laid-out page image),
-        and cached across scans, which is where the shared operators save
-        wall time.
-        """
-        for page in self.scan_pages(pool):
-            keys, measures = page.columns(n_keys)
-            yield page, keys, measures
-
-    def fetch_positions(
-        self, pool: "BufferPool", positions: np.ndarray, n_keys: int
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Vectorized positional fetch: gather the rows at ``positions``
-        column-wise, in input order.
-
-        Charges exactly what iterating :meth:`probe_positions` would: one
-        random page read per *page change* in first-touch order (a revisit
-        after an intervening page re-fetches, as there), the same
-        ``table.probe_pages`` metric, and the same per-read fault checks —
-        only the per-tuple Python loop is gone.
+        Charges one random page read per *page change* in first-touch order
+        (consecutive positions on one page share the fetch, as a real probe
+        of sorted RIDs would; a revisit after an intervening page fetches
+        again), counts each in the ``table.probe_pages`` metric, and checks
+        each read's fault site.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return [empty] * n_keys, np.empty(0, dtype=np.float64)
+            return self.column_arrays(0, 0)
         if int(positions.min()) < 0 or int(positions.max()) >= self._n_rows:
             bad = positions[(positions < 0) | (positions >= self._n_rows)][0]
             raise IndexError(
@@ -182,47 +314,12 @@ class HeapTable:
             "table.probe_pages", "distinct pages fetched by random probes"
         )
         page_nos = positions // self.capacity
-        slots = positions % self.capacity
-        # Runs of equal page number, in first-touch order.
-        breaks = np.flatnonzero(np.diff(page_nos)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), breaks))
-        stops = np.concatenate((breaks, np.asarray([positions.size])))
-        key_parts: List[List[np.ndarray]] = []
-        measure_parts: List[np.ndarray] = []
-        for lo, hi in zip(starts.tolist(), stops.tolist()):
-            page = pool.get_page(self, int(page_nos[lo]), sequential=False)
+        # The first page of each run of equal page numbers, in order.
+        runs = page_nos[np.concatenate(([True], page_nos[1:] != page_nos[:-1]))]
+        for page_no in runs.tolist():
+            pool.get_page(self, page_no, sequential=False)
             probe_pages.inc()
-            keys, measures = page.columns(n_keys)
-            run = slots[lo:hi]
-            key_parts.append([col[run] for col in keys])
-            measure_parts.append(measures[run])
-        if len(measure_parts) == 1:
-            return key_parts[0], measure_parts[0]
-        gathered = [
-            np.concatenate([part[d] for part in key_parts])
-            for d in range(n_keys)
-        ]
-        return gathered, np.concatenate(measure_parts)
-
-    def probe_positions(
-        self, pool: "BufferPool", positions: Iterable[int]
-    ) -> Iterator[Tuple[int, Row]]:
-        """Fetch rows by global position, charging one random read per
-        *distinct page* in first-touch order (consecutive positions on the
-        same page share the fetch, as a real probe of sorted RIDs would)."""
-        probe_pages = default_registry().counter(
-            "table.probe_pages", "distinct pages fetched by random probes"
-        )
-        current_page_no = -1
-        current_page: Page | None = None
-        for position in positions:
-            page_no, slot = self.position_to_page(position)
-            if page_no != current_page_no:
-                current_page = pool.get_page(self, page_no, sequential=False)
-                current_page_no = page_no
-                probe_pages.inc()
-            assert current_page is not None
-            yield position, current_page[slot]
+        return [column[positions] for column in self._keys], self._measures[positions]
 
     def __len__(self) -> int:
         return self._n_rows

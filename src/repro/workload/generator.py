@@ -2,8 +2,9 @@
 
 The paper's base table has "four dimensional attributes and one measure
 attribute" with 20-byte tuples; dimension keys draw from three-level
-hierarchies.  The generator produces such rows with a seeded RNG, uniformly
-by default, with optional Zipf skew per dimension for ablation studies.
+hierarchies.  The generator draws such data column-wise with a seeded RNG,
+uniformly by default, with optional Zipf skew per dimension for ablation
+studies; :func:`generate_fact_rows` is the same data as row tuples.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..schema.star import StarSchema
+from ..storage.page import ColumnBatch, batch_rows
 
 
 def zipf_probabilities(n: int, theta: float) -> np.ndarray:
@@ -24,15 +26,16 @@ def zipf_probabilities(n: int, theta: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_fact_rows(
+def generate_fact_columns(
     schema: StarSchema,
     n_rows: int,
     seed: int = 42,
     skew: Optional[Sequence[float]] = None,
     measure_low: float = 1.0,
     measure_high: float = 100.0,
-) -> List[Tuple]:
-    """Generate ``n_rows`` fact tuples ``(key_0, …, key_{n-1}, measure)``.
+) -> ColumnBatch:
+    """Generate ``n_rows`` fact rows column-wise: one ``int64`` key array
+    per dimension and the ``float64`` measure array.
 
     ``skew[d]`` is the Zipf θ for dimension ``d`` (default all-uniform).
     Keys are leaf-level member ids.  Measures are uniform floats rounded to
@@ -59,7 +62,10 @@ def generate_fact_rows(
     measures = np.round(
         rng.uniform(measure_low, measure_high, size=n_rows), 2
     )
-    rows: List[Tuple] = []
-    for i in range(n_rows):
-        rows.append(tuple(int(col[i]) for col in columns) + (float(measures[i]),))
-    return rows
+    return columns, measures
+
+
+def generate_fact_rows(*args, **kwargs) -> List[Tuple]:
+    """The rows of :func:`generate_fact_columns` (same arguments) as tuples
+    ``(key_0, …, key_{n-1}, measure)`` of Python ints and a float."""
+    return list(batch_rows(*generate_fact_columns(*args, **kwargs)))

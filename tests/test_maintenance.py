@@ -272,14 +272,12 @@ def _reference_fold(aggregate, groups, key, value):
 
 
 def _reference_merge(view, delta, aggregate):
-    """Merge a delta through a key → (page, slot) map over every view row;
+    """Merge a delta through a key → row position map over every view row;
     returns (groups appended, groups updated in place)."""
     n_dims = len(view.levels)
     positions = {}
-    for page in view.table._pages:
-        for slot, row in enumerate(page.rows):
-            key = tuple(int(v) for v in row[:n_dims])
-            positions[key] = (page.page_no, slot)
+    for position, row in enumerate(view.table.all_rows()):
+        positions[tuple(row[:n_dims])] = position
     appended = updated = 0
     for key, value in sorted(delta.items()):
         found = positions.get(key)
@@ -287,15 +285,14 @@ def _reference_merge(view, delta, aggregate):
             view.table.append(key + (value,))
             appended += 1
             continue
-        page = view.table._pages[found[0]]
-        current = float(page.rows[found[1]][n_dims])
+        current = view.table.row_at(found)[n_dims]
         if aggregate in (Aggregate.SUM, Aggregate.COUNT):
             merged = current + value
         elif aggregate is Aggregate.MIN:
             merged = min(current, value)
         else:
             merged = max(current, value)
-        page.update(found[1], key + (merged,))
+        view.table.set_measures([found], [merged])
         updated += 1
     return appended, updated
 
@@ -359,7 +356,7 @@ def database_state(db):
     """Every table's rows in page order, clustered flag and index states."""
     return {
         entry.name: (
-            [list(page.rows) for page in entry.table._pages],
+            [list(entry.table.page(i)) for i in range(entry.table.n_pages)],
             entry.clustered,
             {key: index_state(index) for key, index in entry.indexes.items()},
         )

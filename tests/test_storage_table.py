@@ -103,8 +103,8 @@ class TestAccountedAccess:
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=64)
         # Positions 0,1,2 share page 0; 6 is page 1; 13 page 2.
-        hits = list(table.probe_positions(pool, [0, 1, 2, 6, 13]))
-        assert [p for p, _row in hits] == [0, 1, 2, 6, 13]
+        keys, _measures = table.fetch_positions(pool, [0, 1, 2, 6, 13])
+        assert keys[0].tolist() == [0, 1, 2, 6, 13]
         assert stats.rand_page_reads == 3
         assert stats.seq_page_reads == 0
 
@@ -112,63 +112,61 @@ class TestAccountedAccess:
         table = make_table(100)
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=64)
-        for position, row in table.probe_positions(pool, [5, 50, 99]):
-            assert row == (position, position % 7, float(position))
+        keys, measures = table.fetch_positions(pool, [5, 50, 99])
+        rows = list(zip(keys[0].tolist(), keys[1].tolist(), measures.tolist()))
+        assert rows == [(p, p % 7, float(p)) for p in (5, 50, 99)]
 
     def test_probe_revisiting_page_after_leaving_recharges(self):
         table = make_table(100)
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=1)
         # Page sequence 0 -> 1 -> 0; the pool holds one page, and the probe
-        # iterator re-fetches when the page number changes.
-        list(table.probe_positions(pool, [0, 6, 1]))
+        # re-fetches when the page number changes.
+        table.fetch_positions(pool, [0, 6, 1])
         assert stats.rand_page_reads == 3
+        # With room in the pool the revisit is a buffer hit instead.
+        stats = IOStats()
+        table.fetch_positions(BufferPool(stats, capacity_pages=64), [0, 6, 1])
+        assert (stats.rand_page_reads, stats.buffer_hits) == (2, 1)
 
 
 class TestBatchAccess:
-    def test_scan_batches_matches_scan_pages(self):
+    def test_page_columns_match_scan_pages(self):
         table = make_table(100)
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=4)
-        batches = list(table.scan_batches(pool, n_keys=2))
-        assert stats.seq_page_reads == table.n_pages
-        assert stats.rand_page_reads == 0
         rows = [
             (int(keys[0][i]), int(keys[1][i]), float(measures[i]))
-            for _page, keys, measures in batches
+            for page in table.scan_pages(pool)
+            for keys, measures in [page.columns()]
             for i in range(measures.size)
         ]
+        assert stats.seq_page_reads == table.n_pages
+        assert stats.rand_page_reads == 0
         assert rows == list(table.all_rows())
 
-    def test_fetch_positions_matches_probe_positions(self):
+    def test_fetch_positions_matches_row_at(self):
         table = make_table(100)
         positions = np.asarray([0, 1, 2, 6, 13, 7, 0, 99], dtype=np.int64)
-        stats_f = IOStats()
+        stats = IOStats()
         keys, measures = table.fetch_positions(
-            BufferPool(stats_f, capacity_pages=64), positions, n_keys=2
+            BufferPool(stats, capacity_pages=64), positions
         )
-        stats_p = IOStats()
-        probed = [
-            row
-            for _pos, row in table.probe_positions(
-                BufferPool(stats_p, capacity_pages=64), positions.tolist()
-            )
-        ]
         fetched = [
             (int(keys[0][i]), int(keys[1][i]), float(measures[i]))
             for i in range(positions.size)
         ]
-        assert fetched == probed
-        # Identical accounting: one random read per page *change*.
-        assert stats_f.as_dict() == stats_p.as_dict()
+        assert fetched == [table.row_at(p) for p in positions.tolist()]
+        # One page request per page *change* (pages 0,1,2,1,0,16): four
+        # misses charged as random reads, the two revisits buffer hits.
+        assert (stats.rand_page_reads, stats.buffer_hits) == (4, 2)
+        assert stats.seq_page_reads == 0
 
     def test_fetch_positions_recharges_on_page_revisit(self):
         table = make_table(100)
         stats = IOStats()
         pool = BufferPool(stats, capacity_pages=1)
-        table.fetch_positions(
-            pool, np.asarray([0, 6, 1], dtype=np.int64), n_keys=2
-        )
+        table.fetch_positions(pool, np.asarray([0, 6, 1], dtype=np.int64))
         assert stats.rand_page_reads == 3
 
     def test_fetch_positions_empty(self):
@@ -177,7 +175,6 @@ class TestBatchAccess:
         keys, measures = table.fetch_positions(
             BufferPool(stats, capacity_pages=4),
             np.empty(0, dtype=np.int64),
-            n_keys=2,
         )
         assert [k.size for k in keys] == [0, 0]
         assert measures.size == 0
